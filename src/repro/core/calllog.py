@@ -18,18 +18,21 @@ holds trivially and the copy is free.
 
 Hot-path data structures (see DESIGN.md, "Fast-path invariants"):
 
-* ``self._entries`` holds every entry in append order, with pruned
+* ``self._entries`` holds every entry in log order, with pruned
   entries tombstoned (``entry.alive = False``) and compacted away once
   they outnumber the live ones; the public ``entries`` view exposes
   only live entries.
-* ``self._by_key`` indexes live entries per session key, so the
-  shrinker's per-key queries cost O(entries for that key) instead of
-  O(log length).
+* ``self._by_key`` maps each session key to exactly its live entries,
+  in log order: a prune drops the entries from their buckets in one
+  pass per call, and a key with no live entry has no bucket.  The
+  shrinker's per-key queries therefore cost O(live entries for that
+  key), and a long-lived key (a listening socket) holds only what is
+  live, however much traffic it has seen.
 * ``space_bytes()`` / ``record_count()`` are maintained incrementally
   on append / prune / retval-attach instead of walking the log.  A
   ``CallLogEntry`` notifies its owning log when its ``key`` or
   ``result`` is assigned after append (the dispatcher does both), so
-  the index and the accounting never go stale.
+  the index and the accounting stay exact.
 """
 
 from __future__ import annotations
@@ -176,14 +179,12 @@ class ComponentCallLog:
 
     def __init__(self, component: str) -> None:
         self.component = component
-        #: append-ordered entries, including tombstones (see `entries`)
+        #: entries in log order, including tombstones (see `entries`)
         self._entries: List[CallLogEntry] = []
         self._dead = 0
-        #: per-key index over live entries (may hold stale references
-        #: that `entries_for_key` lazily compacts away)
+        #: key -> its live entries in log order (no bucket is empty)
         self._by_key: Dict[Any, List[CallLogEntry]] = {}
-        #: live entries per key / count of keys with >= 2 live entries
-        self._key_live: Dict[Any, int] = {}
+        #: number of buckets holding >= 2 entries
         self._multi_keys = 0
         # incremental accounting (kept equal to a full recompute)
         self._live_count = 0
@@ -339,20 +340,11 @@ class ComponentCallLog:
         if not FLAGS.indexed_log:
             return [e for e in self.entries if e.key == key]
         bucket = self._by_key.get(key)
-        if not bucket:
-            return []
-        live = [e for e in bucket if e.alive and e.key == key]
-        if len(live) != len(bucket):
-            # lazily drop tombstones / rekeyed strays from the bucket
-            if live:
-                self._by_key[key] = list(live)
-            else:
-                del self._by_key[key]
-        return live
+        return list(bucket) if bucket is not None else []
 
     def live_keys(self) -> List[Any]:
         """Keys with at least one live entry, oldest key first."""
-        return list(self._key_live)
+        return list(self._by_key)
 
     def call_edges(self) -> Dict[str, int]:
         """Outbound call edges of this component: callee name -> number
@@ -399,11 +391,20 @@ class ComponentCallLog:
     # --- pruning primitives (used by the shrinker) -------------------------------------
 
     def remove_entries(self, doomed: List[CallLogEntry]) -> int:
+        """Prune ``doomed`` (entries already pruned or owned by another
+        log are skipped) and return how many were removed.  Each key
+        bucket the prune touches is filtered once, however many of its
+        entries go."""
         removed = 0
+        touched: Dict[Any, None] = {}
         for entry in doomed:
             if entry.alive and entry._log is self:
                 self._unregister(entry)
                 removed += 1
+                if entry.key is not None:
+                    touched[entry.key] = None
+        for key in touched:
+            self._index_prune(key)
         self.total_pruned += removed
         if self._dead > self._COMPACT_FLOOR \
                 and self._dead * 2 > len(self._entries):
@@ -448,7 +449,6 @@ class ComponentCallLog:
         self._entries.clear()
         self._dead = 0
         self._by_key.clear()
-        self._key_live.clear()
         self._multi_keys = 0
         self._live_count = 0
         self._record_count = 0
@@ -468,7 +468,7 @@ class ComponentCallLog:
             self._entries.insert(index, entry)
         object.__setattr__(entry, "_log", self)
         if entry.key is not None:
-            self._index_add(entry.key, entry)
+            self._index_insert(entry.key, entry)
         self._live_count += 1
         self._record_count += entry.entry_count()
         space = entry.space_bytes()
@@ -482,8 +482,6 @@ class ComponentCallLog:
     def _unregister(self, entry: CallLogEntry) -> None:
         object.__setattr__(entry, "alive", False)
         self._dead += 1
-        if entry.key is not None:
-            self._index_drop(entry.key)
         self._live_count -= 1
         self._record_count -= entry.entry_count()
         # entry._space tracks every registered-lifetime mutation
@@ -502,21 +500,46 @@ class ComponentCallLog:
                 counts.pop(record.target, None)
 
     def _index_add(self, key: Any, entry: CallLogEntry) -> None:
-        self._by_key.setdefault(key, []).append(entry)
-        count = self._key_live.get(key, 0) + 1
-        self._key_live[key] = count
-        if count == 2:
+        """Index ``entry``, the newest entry of the log."""
+        bucket = self._by_key.get(key)
+        if bucket is None:
+            self._by_key[key] = [entry]
+        else:
+            bucket.append(entry)
+            if len(bucket) == 2:
+                self._multi_keys += 1
+
+    def _index_insert(self, key: Any, entry: CallLogEntry) -> None:
+        """Index ``entry``, already placed anywhere in ``_entries``, at
+        its log position in the bucket (``_index_add`` is the fast case
+        of an entry just appended)."""
+        bucket = self._by_key.get(key)
+        if bucket is None:
+            self._by_key[key] = [entry]
+            return
+        # The bucket members that follow ``entry`` in the log form the
+        # bucket's tail; count them walking back from the newest entry
+        # (a rekeyed or replacing entry sits at or near the end).
+        later = 0
+        for other in reversed(self._entries):
+            if other is entry:
+                break
+            if other.alive and other.key == key:
+                later += 1
+        bucket.insert(len(bucket) - later, entry)
+        if len(bucket) == 2:
             self._multi_keys += 1
 
-    def _index_drop(self, key: Any) -> None:
-        count = self._key_live.get(key, 0) - 1
-        if count <= 0:
-            self._key_live.pop(key, None)
-            self._by_key.pop(key, None)
-        else:
-            self._key_live[key] = count
-        if count == 1:
+    def _index_prune(self, key: Any) -> None:
+        """Drop the just-pruned entries from ``key``'s bucket."""
+        bucket = self._by_key[key]
+        live = [e for e in bucket if e.alive]
+        if len(bucket) > 1 and len(live) < 2:
             self._multi_keys -= 1
+        if live:
+            self._by_key[key] = live
+        else:
+            del self._by_key[key]
 
     def _rekey(self, entry: CallLogEntry, new_key: Any) -> None:
         """Re-index an entry whose ``key`` is assigned after append
@@ -528,9 +551,15 @@ class ComponentCallLog:
         if not entry.alive:
             return
         if old_key is not None:
-            self._index_drop(old_key)
+            bucket = self._by_key[old_key]
+            if len(bucket) == 1:
+                del self._by_key[old_key]
+            else:
+                bucket.remove(entry)  # identity: entries define no __eq__
+                if len(bucket) == 1:
+                    self._multi_keys -= 1
         if new_key is not None:
-            self._index_add(new_key, entry)
+            self._index_insert(new_key, entry)
 
     def _reresult(self, entry: CallLogEntry, result: Any) -> None:
         """Track the space delta when ``result`` is assigned late."""

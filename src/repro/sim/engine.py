@@ -112,7 +112,7 @@ class Simulation:
 
     def emit(self, category: str, name: str, **detail: Any) -> None:
         """Emit a trace event stamped with the current virtual time."""
-        self.trace.emit(self.clock.now_us, category, name, **detail)
+        self.trace.record(self.clock.now_us, category, name, detail)
 
     # --- deferred events ------------------------------------------------------
 

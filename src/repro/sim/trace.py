@@ -1,27 +1,38 @@
 """Structured event trace.
 
 Mechanisms emit :class:`TraceEvent` records (message pushes, dispatches,
-reboots, faults, request completions).  Tests assert on the trace to
-verify behaviour ("the VFS thread was dispatched before 9PFS", "no
-message crossed a rebooting component"), and the experiment harness
-derives time series from it (Fig. 8's latency timeline).
+reboots, faults, request completions).  Tests and examples assert on the
+trace to verify behaviour ("the VFS thread was dispatched before 9PFS",
+"no message crossed a rebooting component"), and subscribers (the fault
+injector's root-cause hooks, the crucible runner) react to events as
+they are emitted.  Nothing in the library reads retained events back.
+
+A trace is a ring buffer: it keeps the newest :data:`TRACE_RING_SIZE`
+events by default, so a long run holds a bounded window instead of its
+whole history.  Subscribers still see every event, and evictions are
+counted in ``dropped`` (and reported through ``on_drop``).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, Iterator, List, Optional
+from types import MappingProxyType
+from typing import (Any, Callable, Deque, Iterator, List, Mapping,
+                    NamedTuple, Optional)
+
+#: events a default :class:`Trace` retains before evicting the oldest
+TRACE_RING_SIZE = 2048
+
+_NO_DETAIL: Mapping[str, Any] = MappingProxyType({})
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One traced occurrence at a point in virtual time."""
+class TraceEvent(NamedTuple):
+    """One traced occurrence at a point in virtual time (immutable)."""
 
     t_us: float
     category: str
     name: str
-    detail: Dict[str, Any] = field(default_factory=dict)
+    detail: Mapping[str, Any] = _NO_DETAIL
 
     def matches(self, category: Optional[str] = None,
                 name: Optional[str] = None, **detail: Any) -> bool:
@@ -36,21 +47,21 @@ class TraceEvent:
 
 
 class Trace:
-    """An append-only event log with query helpers.
+    """A ring buffer of recent events with query helpers.
 
-    Tracing is cheap but not free in Python, so a trace can be disabled
-    wholesale (``enabled=False``) for throughput-oriented benchmarks, or
-    restricted to a category allow-list.
+    ``max_events`` sizes the ring (``None`` keeps every event, for short
+    runs that want the whole history).  Tracing is cheap but not free in
+    Python, so a trace can be disabled wholesale (``enabled=False``) for
+    throughput-oriented benchmarks, or restricted to a category
+    allow-list.
     """
 
     def __init__(self, enabled: bool = True,
                  categories: Optional[List[str]] = None,
-                 max_events: Optional[int] = None) -> None:
+                 max_events: Optional[int] = TRACE_RING_SIZE) -> None:
         self.enabled = enabled
         self._categories = set(categories) if categories else None
-        # A bounded trace is a ring buffer: deque(maxlen) evicts the
-        # oldest event in O(1) per append, where the old list-slice
-        # eviction cost O(max_events) every half-window.
+        # deque(maxlen) evicts the oldest event in O(1) per append.
         self._events: Deque[TraceEvent] = deque(maxlen=max_events)
         self._max_events = max_events
         #: events evicted by the ring buffer (recorded-then-dropped;
@@ -70,14 +81,19 @@ class Trace:
 
     def emit(self, t_us: float, category: str, name: str,
              **detail: Any) -> None:
+        self.record(t_us, category, name, detail)
+
+    def record(self, t_us: float, category: str, name: str,
+               detail: Mapping[str, Any]) -> None:
+        """:meth:`emit` with the detail mapping passed as is (the trace
+        keeps it, so the caller must not mutate it afterwards)."""
         if not self.enabled:
             return
         if self._categories is not None and category not in self._categories:
             return
-        event = TraceEvent(t_us=t_us, category=category, name=name,
-                           detail=detail)
+        event = TraceEvent(t_us, category, name, detail)
         events = self._events
-        if events.maxlen is not None and len(events) == events.maxlen:
+        if len(events) == self._max_events:
             self.dropped += 1
             if self.on_drop is not None:
                 self.on_drop()
@@ -89,8 +105,9 @@ class Trace:
                 subscriber(event)
 
     def subscribe(self, callback: Callable[[TraceEvent], None]) -> None:
-        """Call ``callback`` for every future event (even when filtered out
-        events are dropped, subscribers only see recorded events)."""
+        """Call ``callback`` for every future recorded event, including
+        those the ring later evicts (filtered-out events are never
+        delivered)."""
         self._subscribers.append(callback)
 
     def unsubscribe(self, callback: Callable[[TraceEvent], None]) -> None:

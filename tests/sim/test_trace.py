@@ -1,6 +1,9 @@
 """Unit tests for the event trace."""
 
-from repro.sim.trace import NULL_TRACE, Trace, TraceEvent
+import pytest
+
+from repro.sim.engine import Simulation
+from repro.sim.trace import NULL_TRACE, TRACE_RING_SIZE, Trace, TraceEvent
 
 
 class TestTrace:
@@ -111,11 +114,32 @@ class TestRingBuffer:
         assert len(trace) == 3
 
     def test_unbounded_trace_never_drops(self):
-        trace = Trace()
-        for i in range(100):
+        trace = Trace(max_events=None)
+        for i in range(TRACE_RING_SIZE + 100):
             trace.emit(float(i), "c", "e")
         assert trace.dropped == 0
-        assert len(trace) == 100
+        assert len(trace) == TRACE_RING_SIZE + 100
+
+    def test_default_trace_is_a_ring(self):
+        sim = Simulation(seed=1)  # its trace is a default Trace()
+        trace = sim.trace
+        drops = []
+        trace.on_drop = lambda: drops.append(1)
+        for i in range(3 * TRACE_RING_SIZE):
+            sim.emit("c", "e", i=i)
+        assert len(trace) == TRACE_RING_SIZE
+        assert trace.dropped == len(drops) == 2 * TRACE_RING_SIZE
+        assert trace.first("c", "e").detail["i"] == 2 * TRACE_RING_SIZE
+        assert trace.last("c", "e").detail["i"] == 3 * TRACE_RING_SIZE - 1
+
+    def test_subscribers_see_every_event_after_the_ring_fills(self):
+        trace = Trace(max_events=4)
+        seen = []
+        trace.subscribe(seen.append)
+        for i in range(50):
+            trace.emit(float(i), "c", "e", i=i)
+        assert [e.detail["i"] for e in seen] == list(range(50))
+        assert len(trace) == 4 and trace.dropped == 46
 
     def test_wants_matches_what_emit_would_record(self):
         allow = Trace(categories=["keep"])
@@ -138,3 +162,20 @@ class TestTraceEvent:
     def test_matches_missing_detail_key(self):
         event = TraceEvent(1.0, "net", "rst", {})
         assert not event.matches(conn=5)
+
+    def test_event_is_immutable(self):
+        event = TraceEvent(1.0, "net", "rst", {"conn": 5})
+        with pytest.raises(AttributeError):
+            event.t_us = 2.0
+        with pytest.raises(AttributeError):
+            event.detail = {}
+        with pytest.raises(TypeError):
+            TraceEvent(1.0, "net", "rst").detail["conn"] = 5
+
+    def test_fields_and_default_detail(self):
+        event = TraceEvent(2.5, "net", "syn")
+        assert (event.t_us, event.category, event.name) == (2.5, "net",
+                                                            "syn")
+        assert dict(event.detail) == {}
+        assert event.matches("net", "syn")
+        assert event == TraceEvent(t_us=2.5, category="net", name="syn")

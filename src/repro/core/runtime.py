@@ -26,6 +26,7 @@ with the paper's machinery in place:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -112,9 +113,9 @@ class _CrossingPlan:
     crossing (request push → [MSG thread] → target switch → pull, and
     the mirror-image reply) depends only on the static pieces: the
     caller/target units, the candidate table, whether the call is
-    logged and whether the caller keeps a return-value log.  The
-    dispatcher compiles that sequence once per (caller, target, logged)
-    and replays it as straight-line dict arithmetic — every individual
+    logged and whether the caller keeps a return-value log.  Each
+    dispatcher builds one plan per (caller, target, logged) and replays
+    it as straight-line dict arithmetic — every individual
     ``(category, amount)`` charge is still applied separately and in
     reference order, so the virtual clock and the per-category ledger
     stay bit-identical to the uncompiled path.
@@ -123,8 +124,10 @@ class _CrossingPlan:
     straight-line function each (amounts and unit names baked in as
     constants, the clock accumulated in a local and stored once — the
     same left-to-right float additions, so the result is bit-identical).
-    The ``*_tape`` / delta slots keep the symbolic form the neutrality
-    tests inspect.
+    The functions come from :func:`_exec_tape`, which compiles each
+    distinct source text once per process, so kernels with the same
+    image and cost model share them.  The ``*_tape`` / delta slots keep
+    the symbolic form the neutrality tests inspect.
     """
 
     __slots__ = ("caller_unit", "target_unit", "thread",
@@ -132,6 +135,25 @@ class _CrossingPlan:
                  "req_fallbacks", "req_run",
                  "rep_tape", "rep_switches", "rep_deps", "rep_wasted",
                  "rep_fallbacks", "rep_run")
+
+
+#: most distinct crossing-tape sources kept compiled per process (a
+#: whole tier-1 run needs about 70)
+TAPE_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=TAPE_CACHE_SIZE)
+def _exec_tape(text):
+    """Compile one generated tape source into its ``run`` function.
+
+    The text carries the function's whole meaning (every amount is a
+    round-tripping ``repr``, and the namespace holds only the two
+    thread states), so the result is shared by every kernel that
+    generates the same text and refers to none of them.
+    """
+    namespace = {"_RUNNING": _RUNNING, "_IDLE": _IDLE}
+    exec(text, namespace)  # noqa: S102 - static template
+    return namespace["run"]
 
 
 def _compile_crossing(tape, deltas, msg_dispatch, caller_unit,
@@ -145,7 +167,8 @@ def _compile_crossing(tape, deltas, msg_dispatch, caller_unit,
     additions, so clock and ledger stay bit-identical to the loop it
     replaces.  The domain/scheduler bookkeeping that the fast lane
     performed inline follows, with the per-plan stat deltas folded into
-    constants.
+    constants.  The source text is generated on every call;
+    :func:`_exec_tape` compiles it only on a cache miss.
     """
     switches, deps, wasted, fallbacks = deltas
     src = ["def run(sim, md, sched, thread, size):",
@@ -203,9 +226,7 @@ def _compile_crossing(tape, deltas, msg_dispatch, caller_unit,
     # The message id feeds the dispatch span's ``msg_id`` when a flight
     # recorder is attached; plain callers ignore the return value.
     src.append("    return mid")
-    namespace = {"_RUNNING": _RUNNING, "_IDLE": _IDLE}
-    exec("\n".join(src), namespace)  # noqa: S102 - static template
-    return namespace["run"]
+    return _exec_tape("\n".join(src))
 
 
 def _replay_obs_crossing(obs, md, tape):
@@ -1482,7 +1503,8 @@ class VampOSKernel(Kernel):
         self.message_domain.__init__(  # type: ignore[misc]
             self.sim, self.msg_domain)
         # Drop the dispatcher's bound handles: the next invoke rebinds
-        # and recompiles every crossing plan against the fresh root.
+        # and rebuilds every crossing plan against the fresh root (the
+        # tape code itself comes back from the process-wide cache).
         self._vamp._bound = False
 
     def _root_heartbeat(self) -> None:

@@ -166,7 +166,8 @@ class RootAgingModel:
       never reclaims them and the arena fills toward a terminal
       :class:`~repro.core.messages.MessageDomainFull`;
     * **stale crossing-plan entries** — junk keys accumulated in the
-      dispatcher's compiled-crossing cache;
+      dispatcher's own ``_plans`` dict (not the process-wide tape
+      code cache, which holds no kernel state);
     * **tombstones** — dead registry records that grow without bound.
 
     Charge-free by design: aging is environmental damage, not work, so
@@ -233,7 +234,7 @@ class RootAgingModel:
             vamp._bind()
         self._serial += 1
         key = ("ROOT", f"stale-{self._serial}", False)
-        # A poisoned cache entry: the compiled-crossing cache treats
+        # A poisoned plan entry: the dispatcher's _plans dict treats
         # False as "cannot compile", so real dispatches never read it —
         # the entry is pure unreclaimed growth.
         vamp._plans[key] = False

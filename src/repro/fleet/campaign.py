@@ -30,6 +30,7 @@ merged across shards in canonical order.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
@@ -193,6 +194,19 @@ def fleet_cell(spec: FleetSpec, arm: str, shard: int,
     their kill/fault schedules) are identical — a paired experiment
     where only the routing policy differs.
     """
+    outcome = _serve_cell(spec, arm, shard, cell_seed)
+    # The cell's kernels (replicas, and those left behind by operator
+    # full reboots) sit in reference cycles — kernel <-> dispatcher,
+    # kernel <-> supervisor, app <-> kernel via the full-reboot hook,
+    # components <-> KernelAPI — so dropping them only frees their
+    # memory at a later gen-2 collection.  They are the bulk of a fleet
+    # run's heap; collect them as the cell ends.
+    gc.collect()
+    return outcome
+
+
+def _serve_cell(spec: FleetSpec, arm: str, shard: int,
+                cell_seed: int) -> ShardOutcome:
     rng = DeterministicRNG(cell_seed)
     policy = "health" if arm == ROUTED_ARM else "static"
     instances = [

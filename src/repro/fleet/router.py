@@ -78,10 +78,15 @@ class HealthRouter:
         self._silent = [0] * instances
         self._rr = 0
         self.misroutes = 0
+        #: the routing tier and its misroute flag, computed on the first
+        #: ``route`` after an ``observe`` (states change nowhere else)
+        self._tier: Optional[List[int]] = None
+        self._off_healthy = False
 
     # --- health bookkeeping (probe loop calls this) -----------------------
 
     def observe(self, index: int, obs: Observation) -> None:
+        self._tier = None
         if obs.probe_ok is None:
             # No probe data: trust the last known state for up to
             # stale_ticks silent ticks, then drain conservatively.
@@ -133,10 +138,15 @@ class HealthRouter:
             index = self._rr % len(self.states)
             self._rr += 1
             return index
-        candidates = self.candidates()
-        index = min(candidates, key=lambda i: (loads[i], i))
-        if self.states[index] != HEALTHY \
-                and any(s == HEALTHY for s in self.states):
+        tier = self._tier
+        if tier is None:
+            tier = self._tier = self.candidates()
+            self._off_healthy = (self.states[tier[0]] != HEALTHY
+                                 and HEALTHY in self.states)
+        # The tier is in index order and min() keeps the first of equal
+        # keys, so ties go to the lowest index.
+        index = min(tier, key=loads.__getitem__)
+        if self._off_healthy:
             self.misroutes += 1  # pragma: no cover - claim guard
         return index
 

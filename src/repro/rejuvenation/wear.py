@@ -8,7 +8,8 @@ of the state boundary and survive every component reboot:
   owner bookkeeping was lost; ``drop_for`` never matches them, so they
   consume arena bytes until ``MessageDomainFull`` becomes terminal;
 * **stale crossing-plan entries** — junk keys accumulated in the
-  dispatcher's compiled-crossing cache;
+  dispatcher's own ``_plans`` dict (not the process-wide tape
+  code cache, which holds no kernel state);
 * **tombstones** — dead registry/teardown records that grow without
   bound.
 

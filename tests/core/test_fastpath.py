@@ -12,12 +12,17 @@ reference recomputation, and the shrinker edge cases against the
 indexed log specifically.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.calllog import ComponentCallLog, _is_immutable, _payload_bytes
 from repro.core.config import DAS
+from repro.core.runtime import TAPE_CACHE_SIZE, _exec_tape
 from repro.core.shrink import LogShrinker
 from repro.fastpath import FLAGS, reference_mode
+from repro.sim.costs import DEFAULT_COSTS
 from repro.sim.engine import Simulation
 from repro.unikernel.component import Component, MemoryLayout, export
 
@@ -26,11 +31,11 @@ from tests.core.test_shrink import SessionComponent, make_world, record
 MESSAGE = b"m" * 221 + b"\n"
 
 
-def _fig5_syscall_loop(mode, iterations=40):
+def _fig5_app(mode, iterations=40, costs=None):
     """A scaled-down Fig. 5 mix: file churn plus a socket echo."""
     from repro.apps.nginx import MiniNginx
 
-    app = MiniNginx(Simulation(seed=17), mode=mode)
+    app = MiniNginx(Simulation(seed=17, costs=costs), mode=mode)
     app.share.create("/srv/neutral.dat", b"z" * 512)
     libc = app.libc
     client = app.network.connect(app.PORT)
@@ -45,7 +50,35 @@ def _fig5_syscall_loop(mode, iterations=40):
         client.recv()
         client.send(MESSAGE)
         libc.recv(server_fd, 222)
-    return app.sim
+    return app
+
+
+def _fig5_syscall_loop(mode, iterations=40):
+    return _fig5_app(mode, iterations).sim
+
+
+def _runtime_state(app):
+    """Clock, ledger, scheduler, thread, domain and log state."""
+    kernel = app.kernel
+    sched = kernel.scheduler
+    md = kernel.message_domain
+    stats = sched.stats
+    return {
+        "clock": app.sim.clock.now_us,
+        "totals": dict(app.sim.ledger.totals),
+        "counts": dict(app.sim.ledger.counts),
+        "sched": (stats.dispatches, stats.dependency_lookups,
+                  stats.wasted_polls, stats.msg_thread_dispatches,
+                  sched.fallback_dispatches, sched.current,
+                  tuple(sched._active_chain)),
+        "threads": {unit: (thread.state, thread.dispatches)
+                    for unit, thread in sched.threads.items()},
+        "domain": (md.pushes, md.pulls, md.peak_bytes,
+                   md.peak_in_flight, md.used_bytes,
+                   md.in_flight_count()),
+        "log_space": {name: log.space_bytes()
+                      for name, log in kernel.logs.items()},
+    }
 
 
 def _fig8_recovery_loop(reboots=6):
@@ -119,49 +152,10 @@ class TestBatchedCrossingParity:
     *every* piece of runtime state — not just the ledger — exactly
     where the reference push → dispatch → pull triple leaves it."""
 
-    def _full_state(self):
-        from repro.apps.nginx import MiniNginx
-
-        app = MiniNginx(Simulation(seed=17), mode=DAS)
-        app.share.create("/srv/neutral.dat", b"z" * 512)
-        libc = app.libc
-        client = app.network.connect(app.PORT)
-        server_fd = app.kernel.syscall("VFS", "accept", app._listen_fd)
-        for _ in range(50):
-            libc.getpid()
-            fd = libc.open("/srv/neutral.dat", "rw")
-            libc.write(fd, b"x")
-            libc.read(fd, 1)
-            libc.close(fd)
-            libc.send(server_fd, MESSAGE)
-            client.recv()
-            client.send(MESSAGE)
-            libc.recv(server_fd, 222)
-        kernel = app.kernel
-        sched = kernel.scheduler
-        md = kernel.message_domain
-        stats = sched.stats
-        return {
-            "clock": app.sim.clock.now_us,
-            "totals": dict(app.sim.ledger.totals),
-            "counts": dict(app.sim.ledger.counts),
-            "sched": (stats.dispatches, stats.dependency_lookups,
-                      stats.wasted_polls, stats.msg_thread_dispatches,
-                      sched.fallback_dispatches, sched.current,
-                      tuple(sched._active_chain)),
-            "threads": {unit: (thread.state, thread.dispatches)
-                        for unit, thread in sched.threads.items()},
-            "domain": (md.pushes, md.pulls, md.peak_bytes,
-                       md.peak_in_flight, md.used_bytes,
-                       md.in_flight_count()),
-            "log_space": {name: log.space_bytes()
-                          for name, log in kernel.logs.items()},
-        }
-
     def test_fastlane_matches_reference_everywhere(self):
-        fast = self._full_state()
+        fast = _runtime_state(_fig5_app(DAS, iterations=50))
         with reference_mode():
-            slow = self._full_state()
+            slow = _runtime_state(_fig5_app(DAS, iterations=50))
         assert fast == slow
 
     def test_crossing_plans_compile_and_shape(self):
@@ -197,6 +191,78 @@ class TestBatchedCrossingParity:
         app.libc.close(fd)
         plans = app.kernel._vamp._plans
         assert plans and all(p is False for p in plans.values())
+
+
+class TestTapeCache:
+    """Each distinct tape source is compiled once per process
+    (``runtime._exec_tape``): kernels share the code, never the state."""
+
+    def test_kernels_share_compiled_tapes(self):
+        first = _fig5_app(DAS, iterations=2)
+        misses = _exec_tape.cache_info().misses
+        second = _fig5_app(DAS, iterations=2)
+        assert _exec_tape.cache_info().misses == misses
+        plans = first.kernel._vamp._plans
+        others = second.kernel._vamp._plans
+        compiled = [key for key, plan in plans.items() if plan]
+        assert compiled and plans.keys() == others.keys()
+        for key in compiled:
+            assert others[key] is not plans[key]
+            assert others[key].req_run is plans[key].req_run
+            assert others[key].rep_run is plans[key].rep_run
+
+    def test_cold_and_warm_cache_match_reference(self):
+        _exec_tape.cache_clear()
+        cold = _runtime_state(_fig5_app(DAS, iterations=50))
+        misses = _exec_tape.cache_info().misses
+        assert misses > 0
+        warm = _runtime_state(_fig5_app(DAS, iterations=50))
+        assert _exec_tape.cache_info().misses == misses
+        with reference_mode():
+            slow = _runtime_state(_fig5_app(DAS, iterations=50))
+        assert cold == warm == slow
+
+    def test_cache_stays_bounded_and_exact_past_evictions(self):
+        """Varying one crossing cost yields a fresh set of tapes per
+        kernel; feed more than the bound, then re-run an evicted set."""
+        def costs(variant):
+            return DEFAULT_COSTS.with_overrides(
+                msg_push=DEFAULT_COSTS.msg_push * (1 + variant / 97))
+
+        start = _exec_tape.cache_info().misses
+        for variant in range(1, 65):
+            _fig5_app(DAS, iterations=1, costs=costs(variant))
+            if _exec_tape.cache_info().misses - start > TAPE_CACHE_SIZE:
+                break
+        else:
+            pytest.fail("64 cost variants never compiled past the bound")
+        info = _exec_tape.cache_info()
+        assert info.maxsize == TAPE_CACHE_SIZE
+        assert info.currsize <= TAPE_CACHE_SIZE
+        fast = _runtime_state(_fig5_app(DAS, iterations=5, costs=costs(1)))
+        assert _exec_tape.cache_info().misses > info.misses  # evicted
+        with reference_mode():
+            slow = _runtime_state(
+                _fig5_app(DAS, iterations=5, costs=costs(1)))
+        assert fast == slow
+
+    def test_dropped_kernel_is_collectable_while_tapes_stay_cached(self):
+        app = _fig5_app(DAS, iterations=2)
+        run = next(plan for plan in app.kernel._vamp._plans.values()
+                   if plan).req_run
+        kernel = weakref.ref(app.kernel)
+        del app
+        gc.collect()
+        assert kernel() is None
+        # the code references no kernel: only the two thread states
+        assert run.__closure__ is None
+        assert set(run.__globals__) == {"__builtins__", "_RUNNING",
+                                        "_IDLE", "run"}
+        misses = _exec_tape.cache_info().misses
+        again = _fig5_app(DAS, iterations=2)
+        assert _exec_tape.cache_info().misses == misses
+        assert any(plan.req_run is run
+                   for plan in again.kernel._vamp._plans.values() if plan)
 
 
 class TestObsRecordingNeutrality:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.fleet import FleetSpec, fleet_cell, run
@@ -97,3 +99,19 @@ class TestFleetCell:
             availability = routed.slo.availability(name)
             assert availability is not None
             assert 0.0 <= availability <= 1.0
+
+    def test_cell_frees_its_kernels_as_it_ends(self):
+        """The replicas' kernels sit in reference cycles; the cell
+        collects them before it returns, so none outlive it.  No
+        collection is forced between the two counts."""
+        from repro.core.runtime import VampOSKernel
+
+        def kernels():
+            return sum(1 for obj in gc.get_objects()
+                       if isinstance(obj, VampOSKernel))
+
+        gc.collect()
+        before = kernels()
+        fleet_cell(FleetSpec.quick(), ROUTED_ARM, 0,
+                   shard_seed(20240808, "fleet", 0))
+        assert kernels() == before

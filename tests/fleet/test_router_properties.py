@@ -45,6 +45,36 @@ def test_never_routes_off_healthy_when_healthy_exists(
     assert router.misroutes == 0
 
 
+#: per-instance queue depths, with frequent ties
+loads_strategy = st.lists(
+    st.one_of(st.integers(0, 3).map(float), st.floats(0, 50)),
+    min_size=5, max_size=5)
+
+
+@given(instances=st.integers(1, 5),
+       steps=st.lists(st.one_of(
+           st.tuples(st.just("observe"), st.integers(0, 4), observations),
+           st.tuples(st.just("route"), loads_strategy)), max_size=80),
+       stale=st.integers(0, 3))
+def test_cached_tier_matches_a_fresh_scan(instances, steps, stale):
+    """``route`` reuses the tier it computed until the next
+    ``observe``; every pick and the misroute count must equal a fresh
+    ``candidates()`` scan with ties to the lowest index."""
+    router = HealthRouter(instances, policy="health", stale_ticks=stale)
+    misroutes = 0
+    for step in steps:
+        if step[0] == "observe":
+            router.observe(step[1] % instances, step[2])
+            continue
+        loads = step[1][:instances]
+        expected = min(router.candidates(), key=lambda i: (loads[i], i))
+        if router.states[expected] != HEALTHY \
+                and HEALTHY in router.states:
+            misroutes += 1
+        assert router.route(loads) == expected
+        assert router.misroutes == misroutes
+
+
 @given(instances=st.integers(2, 5),
        feed=st.lists(st.tuples(st.integers(0, 4), observations),
                      max_size=60))

@@ -117,20 +117,6 @@ class RunOutcome:
         return [row for row in self.results if row[0] < before]
 
 
-def _build_kernel(scenario: Scenario, config) -> VampOSKernel:
-    sim = Simulation(seed=scenario.seed)
-    share = HostShare()
-    share.makedirs("/data")
-    spec = ImageSpec("crucible", list(COMPONENTS),
-                     component_args={"VIRTIO": {"share": share}})
-    kernel = VampOSKernel(ImageBuilder().build(spec, sim), config)
-    kernel.boot()
-    kernel.syscall("VFS", "mount", "/", "9pfs", "/")
-    kernel.syscall("VFS", "mount", "/tmp", "ramfs")
-    kernel.test_share = share  # type: ignore[attr-defined]
-    return kernel
-
-
 def observable_state(kernel: VampOSKernel) -> Dict[str, Any]:
     """What the application could observe, as JSON-safe data."""
     vfs = kernel.component("VFS")

@@ -19,7 +19,6 @@ Paper observations this experiment checks:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
 from ..apps.base import KernelMode
@@ -38,14 +37,6 @@ PAPER_TRANSITIONS = {"getpid": 4, "open": 41, "write": 65, "read": 28,
 
 SOCKET_MESSAGE = b"m" * 221 + b"\n"  # 222 bytes
 FILE_PATH = "/srv/bench.dat"
-
-
-@dataclass
-class SyscallMeasurement:
-    mode: str
-    syscall: str
-    summary: Summary
-    transitions: float
 
 
 class SyscallBench:

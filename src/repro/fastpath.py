@@ -1,14 +1,13 @@
 """Fast-path switches for the hot-path optimisations.
 
-The runtime carries seven wall-clock optimisations that, by design,
+The runtime carries six wall-clock optimisations that, by design,
 change **no** virtual-time (`sim.charge`) semantics:
 
-* memoized component interfaces + pre-resolved dispatch targets,
 * the per-key call-log index with incremental space accounting,
 * a deep-copy bypass for immutable logged payloads,
 * dirty-tracked runtime-data saving,
-* the copy-on-write snapshot store (shared region images, content-hash
-  interning, deep-copy bypass for immutable state blobs),
+* the copy-on-write snapshot store (shared region images, deep-copy
+  bypass for immutable state blobs),
 * batched domain crossings: the request push/pull + reply push/pull of
   one synchronous call collapse into a single arena reservation and a
   single scheduler handshake, with the identical ``msg_push`` /
@@ -133,15 +132,12 @@ HANDLES = PayloadHandles()
 class FastPathFlags:
     """Global on/off switches.
 
-    The seven optimisation flags are True outside neutrality tests;
+    The optimisation flags are True outside neutrality tests;
     ``charge_tracing`` is the one opt-*in* switch (default False): it
     makes the flight recorder charge virtual time per span, for
     monitoring-overhead studies only.
     """
 
-    #: memoize Component.interface() per class and the bound
-    #: method + ExportInfo per instance
-    cached_dispatch: bool = True
     #: answer call-log key queries from the per-key index instead of
     #: scanning the whole entry list
     indexed_log: bool = True
@@ -151,9 +147,8 @@ class FastPathFlags:
     #: mutation since the last save
     dirty_runtime_data: bool = True
     #: copy-on-write snapshots: share immutable region images between
-    #: the store and restored regions (materialized on first write),
-    #: dedupe identical images by content hash, and skip deep-copying
-    #: immutable state blobs
+    #: the store and restored regions (materialized on first write) and
+    #: skip deep-copying immutable state blobs
     cow_snapshots: bool = True
     #: coalesce the request push/pull + reply push/pull of a synchronous
     #: crossing into one arena reservation and one scheduler handshake

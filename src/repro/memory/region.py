@@ -7,17 +7,19 @@ and each component creates its own heap.  Regions are the unit of MPK
 protection-key assignment and of checkpoint snapshots.
 
 Regions are *accounting-first*: they always track their size, the bytes
-in use and a version counter, and additionally carry a real backing
-``bytearray`` when small enough to afford one (the backing is what the
-fault injector flips bits in).  Gigabyte-scale regions (the warm Redis
-heap of Fig. 8) stay accounting-only so the simulation fits in host
-memory.
+in use and a version counter, and additionally carry real byte contents
+when small enough to afford them (the bytes are what the fault injector
+flips bits in).  A backed region starts on the shared, immutable zero
+image of its size (:func:`zero_image`) and gets a private ``bytearray``
+only when something writes to it, so booting a kernel allocates no
+region bytes at all.  Gigabyte-scale regions (the warm Redis heap of
+Fig. 8) stay accounting-only so the simulation fits in host memory.
 """
 
 from __future__ import annotations
 
 import enum
-import hashlib
+import functools
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -28,27 +30,20 @@ PAGE_SIZE = 4096
 #: regions at or below this size get a real byte backing
 BACKING_LIMIT_BYTES = 1 << 20
 
-#: content-hash intern table for snapshot images: identical post-boot
-#: images (zeroed bss, common text/data) share one ``bytes`` object
-#: instead of one copy per component snapshot.  Bounded so a long
-#: process full of distinct dirty images cannot grow it without limit.
-_IMAGE_INTERN: Dict[bytes, bytes] = {}
-_IMAGE_INTERN_LIMIT = 512
+#: distinct backed region sizes whose zero image is kept (the shipped
+#: commands together use 15)
+ZERO_CACHE_SIZE = 64
 
 
-def intern_image(data: bytes) -> bytes:
-    """Return a canonical shared ``bytes`` object equal to ``data``.
+@functools.lru_cache(maxsize=ZERO_CACHE_SIZE)
+def zero_image(size_bytes: int) -> bytes:
+    """The shared immutable all-zero image of ``size_bytes`` bytes.
 
-    Purely a storage optimisation: the returned object always compares
-    equal to the input, so sharing is invisible to every reader.
+    Every backed region of that size starts on this one object, and so
+    does every snapshot taken before the region's first write.  It is
+    never written: mutations materialize a private copy first.
     """
-    digest = hashlib.sha256(data).digest()
-    canonical = _IMAGE_INTERN.get(digest)
-    if canonical is not None:
-        return canonical
-    if len(_IMAGE_INTERN) < _IMAGE_INTERN_LIMIT:
-        _IMAGE_INTERN[digest] = data
-    return data
+    return bytes(size_bytes)
 
 
 class RegionKind(enum.Enum):
@@ -118,14 +113,17 @@ class Region:
         self.protection_key: Optional[int] = None
         if backed is None:
             backed = size_bytes <= BACKING_LIMIT_BYTES
-        self._backing: Optional[bytearray] = (
-            bytearray(size_bytes) if backed else None
+        #: the private contents, once a mutation has materialized them
+        self._backing: Optional[bytearray] = None
+        #: copy-on-write source: an immutable image shared with other
+        #: regions and the snapshot store — the zero image until the
+        #: first write, or a restored snapshot's image.  Mutually
+        #: exclusive with ``_backing`` — reads serve from either; the
+        #: first mutation materializes a private ``bytearray`` copy so
+        #: the shared image is never written.
+        self._shared: Optional[bytes] = (
+            zero_image(size_bytes) if backed else None
         )
-        #: copy-on-write source: an immutable image shared with the
-        #: snapshot store.  Mutually exclusive with ``_backing`` — reads
-        #: serve from either; the first mutation materializes a private
-        #: ``bytearray`` copy so the shared image is never written.
-        self._shared: Optional[bytes] = None
         #: the last snapshot taken of (or restored into) this region,
         #: reused zero-copy while the region is provably unchanged
         self._snap_cache: Optional[RegionSnapshot] = None
@@ -211,7 +209,11 @@ class Region:
 
     def snapshot(self) -> RegionSnapshot:
         if not FLAGS.cow_snapshots:
-            # Reference semantics: a fresh private image every time.
+            # Reference semantics: no snapshot cache.  For a shared
+            # image ``bytes()`` returns that same immutable object,
+            # which no reader can tell from a copy; the reference
+            # restore below still copies it into a private
+            # ``bytearray``.
             backing = None
             if self._shared is not None:
                 backing = bytes(self._shared)
@@ -239,13 +241,6 @@ class Region:
             backing: Optional[bytes] = self._shared
         elif self._backing is not None:
             backing = bytes(self._backing)
-            if self.kind not in (RegionKind.HEAP, RegionKind.STACK):
-                # Dedupe text/data/bss/message images — identical
-                # across same-class components after boot.  Heaps and
-                # stacks are per-instance (and dirty on every miss of
-                # the snapshot cache), so hashing them would cost more
-                # than the sharing saves.
-                backing = intern_image(backing)
         else:
             backing = None
         snap = RegionSnapshot(

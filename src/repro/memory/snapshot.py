@@ -8,11 +8,13 @@ region images plus an opaque component state blob.
 
 Storage is copy-on-write (gated by ``fastpath.FLAGS.cow_snapshots``):
 region images are immutable ``bytes`` shared between the store and the
-regions restored from them, deduplicated by content hash, and reused
-across takes while the region is unchanged; mutable state blobs are
-still deep-copied, immutable ones shared by reference.  None of this
-touches virtual time — take/restore charge ``snapshot_bytes`` exactly
-as the eager-copy reference implementation does.
+regions restored from them, and reused across takes while the region
+is unchanged.  A region nothing has written to is stored as the shared
+zero image of its size, so post-boot snapshots copy no bytes at all.
+Mutable state blobs are still deep-copied, immutable ones shared by
+reference.  None of this touches virtual time — take/restore charge
+``snapshot_bytes`` exactly as the eager-copy reference implementation
+does.
 
 Costs: taking and restoring a snapshot charge the simulation clock
 proportionally to the snapshot's byte size — Fig. 6 shows restoration
@@ -72,8 +74,8 @@ class SnapshotStore:
         """Snapshot the regions and a copy of ``state``.
 
         Region images are taken copy-on-write: unchanged regions reuse
-        their previous snapshot's image, identical images are shared by
-        content hash, and immutable state blobs skip the deep copy
+        their previous snapshot's image, unwritten regions store their
+        shared zero image, and immutable state blobs skip the deep copy
         (``reference_mode()`` restores the eager-copy semantics).
         """
         sim = self._sim

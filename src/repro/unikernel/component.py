@@ -30,7 +30,6 @@ import functools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..fastpath import FLAGS
 from ..memory.buddy import BuddyAllocator
 from ..memory.region import Region, RegionKind, RegionSet
 from ..sim.engine import Simulation
@@ -400,10 +399,9 @@ class Component:
         makes the `dir()` reflection walk a one-time cost instead of a
         per-dispatch one.
         """
-        if FLAGS.cached_dispatch:
-            cached = cls.__dict__.get("_interface_cache")
-            if cached is not None:
-                return cached
+        cached = cls.__dict__.get("_interface_cache")
+        if cached is not None:
+            return cached
         exported: Dict[str, ExportInfo] = {}
         for name in dir(cls):
             if name.startswith("_"):
@@ -412,8 +410,7 @@ class Component:
             info = getattr(attr, "__export_info__", None)
             if info is not None:
                 exported[info.name] = info
-        if FLAGS.cached_dispatch:
-            cls._interface_cache = exported
+        cls._interface_cache = exported
         return exported
 
     def resolve_export(self, func: str) -> Tuple[Callable, ExportInfo]:
@@ -421,29 +418,25 @@ class Component:
 
         Cached per instance, so the dispatcher's per-call work is one
         dict hit instead of an interface rebuild plus ``getattr``.
-        Raises AttributeError for non-exported names, like the
-        uncached lookup did.
+        Raises AttributeError for non-exported names.
         """
-        if FLAGS.cached_dispatch:
-            hit = self._export_cache.get(func)
-            if hit is not None:
-                return hit
+        hit = self._export_cache.get(func)
+        if hit is not None:
+            return hit
         info = self.interface().get(func)
         if info is None:
             raise AttributeError(
                 f"{self.NAME} exports no function {func!r}")
         method = getattr(self, func)
-        if FLAGS.cached_dispatch:
-            # Skip the @export forwarding wrapper on the hot path: bind
-            # the wrapped function directly (behaviour-identical — the
-            # wrapper only forwards *args/**kwargs).
-            inner = getattr(method, "__wrapped__", None)
-            if inner is not None:
-                method = inner.__get__(self, type(self))
-            hit = (method, info)
-            self._export_cache[func] = hit
-            return hit
-        return (method, info)
+        # Skip the @export forwarding wrapper on the hot path: bind the
+        # wrapped function directly (behaviour-identical — the wrapper
+        # only forwards *args/**kwargs).
+        inner = getattr(method, "__wrapped__", None)
+        if inner is not None:
+            method = inner.__get__(self, type(self))
+        hit = (method, info)
+        self._export_cache[func] = hit
+        return hit
 
     def call_interface(self, func: str, args: Tuple[Any, ...],
                        kwargs: Dict[str, Any]) -> Any:

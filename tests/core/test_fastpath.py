@@ -138,12 +138,11 @@ class TestVirtualTimeNeutrality:
         assert FLAGS.indexed_log
         with reference_mode():
             assert not FLAGS.indexed_log
-            assert not FLAGS.cached_dispatch
             assert not FLAGS.copy_fast_path
             assert not FLAGS.dirty_runtime_data
             assert not FLAGS.batched_crossings
             assert not FLAGS.interned_payloads
-        assert FLAGS.indexed_log and FLAGS.cached_dispatch
+        assert FLAGS.indexed_log
         assert FLAGS.batched_crossings and FLAGS.interned_payloads
 
 

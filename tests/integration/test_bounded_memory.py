@@ -11,6 +11,9 @@ the same bounded amount at both points:
   bound (dead entries never outnumber ``max(_COMPACT_FLOOR, live)``);
 * the content-keyed handle caches stay within ``HANDLE_CACHE_LIMIT``.
 
+Booting is bounded too: each booted kernel's regions start on shared
+zero images, so a kernel retains no region bytes of its own.
+
 For the mix, the traced heap may grow from N to 4N by no more than a
 small slack per syscall.  Tracing starts after the warm-up (tracemalloc
 slows the loop about tenfold), and the bounded containers whose
@@ -49,6 +52,11 @@ N = 40
 #: grew this loop by ~140 bytes per syscall, trace ring emptied)
 SLACK_BYTES_PER_OP = 24
 OPS_PER_ITERATION = 8
+#: traced heap one booted DaS MiniNginx may retain: its 43 regions
+#: (1.6 MB) share zero images, so what is left is the kernel's objects
+#: (~94 KiB; private zero-filled images made it ~2.4 MB)
+KERNEL_RETAINED_BYTES = 256 * 1024
+KERNELS = 8
 
 
 class _Mix:
@@ -148,3 +156,21 @@ def test_panic_rounds_hold_bounded_containers():
     for iterations in (N, 3 * N):
         rounds.run(iterations)
         _assert_bounded(rounds.app)
+
+
+def test_booted_kernels_retain_no_region_images():
+    # The first boot fills the process-wide caches (compiled tapes,
+    # zero images, component interfaces) outside the measurement.
+    MiniNginx(Simulation(seed=0), mode=DAS)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        apps = [MiniNginx(Simulation(seed=seed), mode=DAS)
+                for seed in range(1, KERNELS + 1)]
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(apps) == KERNELS
+    assert retained / KERNELS <= KERNEL_RETAINED_BYTES

@@ -230,7 +230,7 @@ def bench_snapshot_restore(cycles: int) -> Dict[str, Dict[str, float]]:
             store.restore(snap, regions)
         return cycles
 
-    loop()  # warm pass: populate the intern table and snapshot caches
+    loop()  # warm pass: fill the store's snapshot slot and the heap image
     # This phase allocates a fresh heap image every cycle, which keeps
     # triggering collections that scan whatever the earlier phases left
     # alive — at --quick scale that GC tax dominates the measurement.

@@ -18,10 +18,11 @@ sets, fronted by a simulated load balancer with
   slow clients and retry storms, all drawn from named
   :class:`~repro.sim.rng.DeterministicRNG` streams (:mod:`.profiles`).
 
-The campaign (:mod:`.campaign`) fans (arm x shard) cells across cores
-with the existing :func:`~repro.parallel.parallel_map` engine, so a
-``repro fleet`` run serves 10^6+ simulated requests across 32+
-instances byte-identically at any ``--jobs`` count, and feeds
+The campaign (:mod:`.campaign`) fans one cell per shard across cores
+with the existing :func:`~repro.parallel.parallel_map` engine; each
+cell runs its instances once and serves both arms from the same
+probes.  A ``repro fleet`` run serves 10^6+ simulated requests across
+32+ instances byte-identically at any ``--jobs`` count, and feeds
 per-tenant availability and log2 tail-latency histograms through the
 reliability observatory (SLO ledger burn rates per instance).
 """

@@ -1,25 +1,28 @@
 """The ``repro fleet`` campaign: serve a sharded fleet, both arms.
 
-Tenants are sharded onto disjoint replica sets; each (arm, shard) pair
-is one :func:`fleet_cell` — a pure function of picklable arguments —
-fanned across cores with :func:`~repro.parallel.parallel_map`, so the
-report is byte-identical at any ``--jobs`` count.
+Tenants are sharded onto disjoint replica sets; each shard is one
+:func:`fleet_cell` — a pure function of picklable arguments — fanned
+across cores with :func:`~repro.parallel.parallel_map`, so the report
+is byte-identical at any ``--jobs`` count.
 
 The two arms are a paired comparison: **health-routed** (drain
 degraded/rebooting/dead instances, probation re-admission) vs
-**no-routing** (round-robin, health ignored) run from the *same* shard
-seed, so every instance suffers the identical kill schedule, transient
-faults and probe traffic in both arms — only the routing differs.
+**no-routing** (round-robin, health ignored) in front of the *same*
+instances, so both arms see the identical kill schedule, transient
+faults and probe reports — only the routing differs.  Nothing an arm
+does reaches an instance, so a cell simulates each instance once and
+serves both arms from it.
 
 Within a tick, each instance first runs its lifecycle (kill/revive
 schedule, idle poll, fault injection) and answers one real HTTP probe;
 the probe's latency is that instance's service time for the tick.
-Then each tenant's arrivals pass the token bucket, the survivors are
-routed one by one (queue-depth shedding at the chosen instance), and
-each served request lands in the tenant's log2 latency histogram —
-synthetic service built from the probe's *measured* time, which is
-what lets a shard answer ~10^5 requests per arm in milliseconds of
-real time while the kernels underneath recover from real faults.
+Then, in each arm, each tenant's arrivals pass the token bucket, the
+survivors are routed one by one (queue-depth shedding at the chosen
+instance), and each served request lands in the tenant's log2 latency
+histogram — synthetic service built from the probe's *measured* time,
+which is what lets a shard answer ~10^5 requests per arm in
+milliseconds of real time while the kernels underneath recover from
+real faults.
 
 Availability counts served answers only (``ok / (ok + err)``); sheds
 are excluded from the ratio but charged in virtual time and reported.
@@ -40,7 +43,7 @@ from ..obs.slo import DEFAULT_SLO_TARGET, SLO_ROW_HEADERS, SloLedger
 from ..parallel import parallel_map, shard_seed
 from ..sim.rng import DeterministicRNG
 from .admission import SHED_CHARGE_US, ShedAccount, TokenBucket
-from .instance import FleetInstance
+from .instance import FleetInstance, ProbeReport
 from .profiles import PROFILES, TenantTraffic
 from .router import HealthRouter
 
@@ -52,7 +55,7 @@ STATIC_ARM = "no-routing"
 @dataclass(frozen=True)
 class FleetSpec:
     """Campaign shape — frozen and picklable, so a cell is a pure
-    function of ``(spec, arm, shard, seed)``."""
+    function of ``(spec, shard, seed)``."""
 
     shards: int = 8
     replicas: int = 4
@@ -128,7 +131,8 @@ class TenantStats:
 
 @dataclass
 class ShardOutcome:
-    """One (arm, shard) cell's totals (picklable across workers)."""
+    """One arm's totals over one shard, or over the fleet once
+    :func:`_aggregate` folds the shards (picklable across workers)."""
 
     arm: str
     shard: int
@@ -172,6 +176,20 @@ class ShardOutcome:
         return out
 
 
+@dataclass
+class ShardPair:
+    """One shard cell's result: both arms' outcomes, served from the
+    same instance pass (picklable across workers)."""
+
+    routed: ShardOutcome
+    static: ShardOutcome
+
+    @property
+    def offered(self) -> int:
+        """Requests offered to the shard, summed over both arms."""
+        return self.routed.offered + self.static.offered
+
+
 def _shard_tenants(spec: FleetSpec, shard: int,
                    rng: DeterministicRNG) -> List[TenantTraffic]:
     """This shard's tenants; profiles are assigned round-robin over
@@ -185,16 +203,19 @@ def _shard_tenants(spec: FleetSpec, shard: int,
     return tenants
 
 
-def fleet_cell(spec: FleetSpec, arm: str, shard: int,
-               cell_seed: int) -> ShardOutcome:
-    """One shard of one arm: ``replicas`` supervised unikernels behind
-    one balancer, serving this shard's tenants for ``spec.ticks``.
+def fleet_cell(spec: FleetSpec, shard: int,
+               cell_seed: int) -> ShardPair:
+    """One shard: ``replicas`` supervised unikernels, advanced and
+    probed once per tick, serving this shard's tenants behind both
+    arms' balancers for ``spec.ticks``.
 
-    Both arms receive the same ``cell_seed``, so the instances (and
-    their kill/fault schedules) are identical — a paired experiment
-    where only the routing policy differs.
+    Both arms read the same probe reports — a paired experiment where
+    only the routing policy differs.  Sharing them is exact: nothing an
+    arm does reaches an instance.  Instances draw only from their
+    kernel seeds and their ``fleet/faults/<name>`` streams, and routed
+    load only prices synthetic latency.
     """
-    outcome = _serve_cell(spec, arm, shard, cell_seed)
+    pair = _serve_shard(spec, shard, cell_seed)
     # The cell's kernels (replicas, and those left behind by operator
     # full reboots) sit in reference cycles — kernel <-> dispatcher,
     # kernel <-> supervisor, app <-> kernel via the full-reboot hook,
@@ -202,13 +223,12 @@ def fleet_cell(spec: FleetSpec, arm: str, shard: int,
     # memory at a later gen-2 collection.  They are the bulk of a fleet
     # run's heap; collect them as the cell ends.
     gc.collect()
-    return outcome
+    return pair
 
 
-def _serve_cell(spec: FleetSpec, arm: str, shard: int,
-                cell_seed: int) -> ShardOutcome:
+def _serve_shard(spec: FleetSpec, shard: int,
+                 cell_seed: int) -> ShardPair:
     rng = DeterministicRNG(cell_seed)
-    policy = "health" if arm == ROUTED_ARM else "static"
     instances = [
         FleetInstance(name=f"s{shard:02d}i{r}",
                       seed=shard_seed(cell_seed, "instance", r),
@@ -218,37 +238,66 @@ def _serve_cell(spec: FleetSpec, arm: str, shard: int,
                       timeout_us=spec.timeout_us)
         for r in range(spec.replicas)
     ]
-    router = HealthRouter(spec.replicas, policy=policy,
-                          probation_probes=spec.probation_probes)
-    tenants = _shard_tenants(spec, shard, rng)
-    buckets = {t.name: TokenBucket(spec.bucket_rate, spec.bucket_burst)
-               for t in tenants}
-    serve_rng = rng.stream("fleet/serve")
-    outcome = ShardOutcome(
-        arm=arm, shard=shard,
-        slo=SloLedger(enabled=True, label=f"{arm}/shard{shard:02d}"),
-        tenants={t.name: TenantStats(name=t.name,
-                                     profile=t.profile.name)
-                 for t in tenants})
-    slo = outcome.slo
-    capacity = spec.queue_capacity
-
+    arms = [_Arm(spec, arm, shard, cell_seed)
+            for arm in (ROUTED_ARM, STATIC_ARM)]
     for tick in range(spec.ticks):
-        now_us = tick * spec.tick_us
-        # instance lifecycle + health probes feed the router and the
-        # fleet availability ledger
-        loads = [0.0] * spec.replicas
         reports = []
-        for idx, inst in enumerate(instances):
+        for inst in instances:
             inst.advance(tick, spec.tick_us)
-            report = inst.probe(tick)
-            reports.append(report)
+            reports.append(inst.probe(tick))
+        for arm in arms:
+            arm.serve(tick, instances, reports)
+    return ShardPair(*(arm.close(instances) for arm in arms))
+
+
+class _Arm:
+    """One arm's balancer in front of a shard's instances: its own
+    router, token buckets, tenant traffic and fleet SLO ledger.
+
+    Each arm draws from its own :class:`DeterministicRNG`: ``stream``
+    caches one generator per name, so two arms sharing one would
+    interleave their draws on each ``fleet/arrivals/<tenant>`` stream.
+    """
+
+    def __init__(self, spec: FleetSpec, arm: str, shard: int,
+                 cell_seed: int) -> None:
+        rng = DeterministicRNG(cell_seed)
+        self.spec = spec
+        self.router = HealthRouter(
+            spec.replicas,
+            policy="health" if arm == ROUTED_ARM else "static",
+            probation_probes=spec.probation_probes)
+        self.tenants = _shard_tenants(spec, shard, rng)
+        self.buckets = {t.name: TokenBucket(spec.bucket_rate,
+                                            spec.bucket_burst)
+                        for t in self.tenants}
+        self.serve_rng = rng.stream("fleet/serve")
+        self.outcome = ShardOutcome(
+            arm=arm, shard=shard,
+            slo=SloLedger(enabled=True, label=f"{arm}/shard{shard:02d}"),
+            tenants={t.name: TenantStats(name=t.name,
+                                         profile=t.profile.name)
+                     for t in self.tenants})
+
+    def serve(self, tick: int, instances: List[FleetInstance],
+              reports: List[ProbeReport]) -> None:
+        """One tick: the probe reports feed the router and the fleet
+        availability ledger, then every tenant's traffic is served."""
+        spec = self.spec
+        router = self.router
+        outcome = self.outcome
+        slo = outcome.slo
+        serve_rng = self.serve_rng
+        capacity = spec.queue_capacity
+        now_us = tick * spec.tick_us
+        for idx, (inst, report) in enumerate(zip(instances, reports)):
             router.observe(idx, report.observation())
             slo.note_state(inst.name, report.state(), now_us)
+        loads = [0.0] * spec.replicas
         # admission + serving, one tenant at a time (fixed order)
-        for tenant in tenants:
+        for tenant in self.tenants:
             arrived = tenant.arrivals(tick, spec.ticks)
-            bucket = buckets[tenant.name]
+            bucket = self.buckets[tenant.name]
             bucket.refill()
             admitted = bucket.take(arrived)
             queue_shed = 0
@@ -296,15 +345,18 @@ def _serve_cell(spec: FleetSpec, arm: str, shard: int,
                 slo.note_requests(inst.name, tenant.name,
                                   ok=per_ok[idx], err=per_err[idx])
 
-    slo.close(spec.ticks * spec.tick_us)
-    outcome.misroutes = router.misroutes
-    for inst in instances:
-        outcome.kills += inst.kills
-        outcome.revives += inst.revives
-        outcome.faults_injected += inst.faults_injected
-        outcome.reboot_downtime_us += inst.reboot_downtime_us
-        outcome.instance_ledgers[inst.name] = inst.ledger_snapshot()
-    return outcome
+    def close(self, instances: List[FleetInstance]) -> ShardOutcome:
+        """Close the ledger and copy in the shared instances' totals."""
+        outcome = self.outcome
+        outcome.slo.close(self.spec.ticks * self.spec.tick_us)
+        outcome.misroutes = self.router.misroutes
+        for inst in instances:
+            outcome.kills += inst.kills
+            outcome.revives += inst.revives
+            outcome.faults_injected += inst.faults_injected
+            outcome.reboot_downtime_us += inst.reboot_downtime_us
+            outcome.instance_ledgers[inst.name] = inst.ledger_snapshot()
+        return outcome
 
 
 def _aggregate(outcomes: List[ShardOutcome]) -> ShardOutcome:
@@ -352,8 +404,8 @@ def _profile_totals(outcome: ShardOutcome, profile: str) -> TenantStats:
 
 def run(spec: FleetSpec = None, seed: int = 20240808,
         jobs: int = 1) -> ExperimentReport:
-    """The fleet campaign, sharded (arm x shard), byte-identical at
-    any ``--jobs`` count."""
+    """The fleet campaign, one cell per shard serving both arms,
+    byte-identical at any ``--jobs`` count."""
     if spec is None:
         spec = FleetSpec()
     report = ExperimentReport(
@@ -362,12 +414,11 @@ def run(spec: FleetSpec = None, seed: int = 20240808,
                        f"{spec.shards} shards x {spec.replicas} "
                        f"replicas, {spec.tenants} tenants, "
                        f"{spec.ticks} ticks")
-    cells = [(spec, arm, shard, shard_seed(seed, "fleet", shard))
-             for arm in (ROUTED_ARM, STATIC_ARM)
+    cells = [(spec, shard, shard_seed(seed, "fleet", shard))
              for shard in range(spec.shards)]
-    results = parallel_map(fleet_cell, cells, jobs)
-    routed = _aggregate(results[:spec.shards])
-    static = _aggregate(results[spec.shards:])
+    pairs = parallel_map(fleet_cell, cells, jobs)
+    routed = _aggregate([pair.routed for pair in pairs])
+    static = _aggregate([pair.static for pair in pairs])
 
     report.headers = ["metric", ROUTED_ARM, STATIC_ARM]
     report.add_row("instances", spec.instances, spec.instances)

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import gc
+import pathlib
 
 import pytest
 
 from repro.fleet import FleetSpec, fleet_cell, run
 from repro.fleet.campaign import ROUTED_ARM, STATIC_ARM
+from repro.fleet.instance import FleetInstance
 from repro.obs.slo import SLO_ROW_HEADERS
 from repro.parallel import shard_seed
 
@@ -15,6 +17,11 @@ from repro.parallel import shard_seed
 #: and every tenant profile appears
 TINY = FleetSpec(shards=2, replicas=2, ticks=20, base_rate=40,
                  queue_capacity=150, revive_ticks=3)
+
+#: ``run(TINY, seed=20240808).render()`` as the per-(arm, shard) cells
+#: rendered it, when each arm simulated its own copy of every instance
+TINY_REPORT = pathlib.Path(__file__).with_name(
+    "tiny_report_seed20240808.txt")
 
 
 @pytest.fixture(scope="module")
@@ -62,20 +69,50 @@ def test_scale_claim_is_gated_off_below_32_instances(tiny_report):
     assert not any("10^6" in c.description for c in tiny_report.claims)
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_report_matches_the_per_arm_design(jobs):
+    """Nothing an arm does reaches an instance, so serving both arms
+    from one instance pass renders the report that simulating every
+    instance once per arm did."""
+    report = run(TINY, seed=20240808, jobs=jobs)
+    assert report.render() + "\n" == TINY_REPORT.read_text()
+
+
+def test_each_instance_is_probed_once_per_tick(monkeypatch):
+    probes = []
+    probe = FleetInstance.probe
+
+    def counting_probe(self, tick):
+        probes.append((self.name, tick))
+        return probe(self, tick)
+
+    monkeypatch.setattr(FleetInstance, "probe", counting_probe)
+    run(TINY, seed=20240808, jobs=1)
+    assert len(probes) == TINY.instances * TINY.ticks
+    assert len(set(probes)) == len(probes)
+
+
 class TestFleetCell:
     @pytest.fixture(scope="class")
-    def arms(self):
-        seed = shard_seed(20240808, "fleet", 0)
-        return (fleet_cell(TINY, ROUTED_ARM, 0, seed),
-                fleet_cell(TINY, STATIC_ARM, 0, seed))
+    def pair(self):
+        return fleet_cell(TINY, 0, shard_seed(20240808, "fleet", 0))
+
+    @pytest.fixture(scope="class")
+    def arms(self, pair):
+        return pair.routed, pair.static
+
+    def test_one_cell_serves_both_arms(self, pair):
+        assert (pair.routed.arm, pair.static.arm) \
+            == (ROUTED_ARM, STATIC_ARM)
+        assert pair.offered \
+            == pair.routed.offered + pair.static.offered > 0
 
     def test_paired_arms_share_the_fault_schedule(self, arms):
         routed, static = arms
         assert routed.kills == static.kills > 0
         assert routed.revives == static.revives
         assert routed.faults_injected == static.faults_injected
-        assert set(routed.instance_ledgers) \
-            == set(static.instance_ledgers)
+        assert routed.instance_ledgers == static.instance_ledgers
 
     def test_conservation_per_arm(self, arms):
         for outcome in arms:
@@ -112,6 +149,5 @@ class TestFleetCell:
 
         gc.collect()
         before = kernels()
-        fleet_cell(FleetSpec.quick(), ROUTED_ARM, 0,
-                   shard_seed(20240808, "fleet", 0))
+        fleet_cell(FleetSpec.quick(), 0, shard_seed(20240808, "fleet", 0))
         assert kernels() == before

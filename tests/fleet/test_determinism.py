@@ -10,7 +10,6 @@ import pytest
 from repro.cli import main
 from repro.fastpath import reference_mode
 from repro.fleet import FleetSpec, fleet_cell, run
-from repro.fleet.campaign import ROUTED_ARM
 from repro.parallel import shard_seed
 
 TINY = FleetSpec(shards=2, replicas=2, ticks=20, base_rate=40,
@@ -39,9 +38,9 @@ def test_reference_mode_ledger_parity_per_instance():
     instance's cost ledger: totals, counts and charged virtual time
     are compared per instance, exactly."""
     seed = shard_seed(20240808, "fleet", 0)
-    fast = fleet_cell(TINY, ROUTED_ARM, 0, seed)
+    fast = fleet_cell(TINY, 0, seed).routed
     with reference_mode():
-        reference = fleet_cell(TINY, ROUTED_ARM, 0, seed)
+        reference = fleet_cell(TINY, 0, seed).routed
     assert set(fast.instance_ledgers) == set(reference.instance_ledgers)
     for name, ledger in fast.instance_ledgers.items():
         twin = reference.instance_ledgers[name]

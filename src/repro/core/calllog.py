@@ -362,10 +362,6 @@ class ComponentCallLog:
             return counts
         return dict(self._edge_counts)
 
-    def edge_targets(self) -> List[str]:
-        """Components this log's live entries call into, sorted."""
-        return sorted(self.call_edges())
-
     def has_multi_entry_key(self) -> bool:
         """O(1): does any key hold >= 2 live entries?  (This is the
         forced-shrink `_compactable` predicate.)"""

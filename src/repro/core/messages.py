@@ -13,15 +13,16 @@ for the restoration": a pull releases its message's buffer immediately
 (the durable copy, when the call is logged, lives in the call log, not
 the message buffer).
 
-The batched fast path (``FLAGS.batched_crossings``) adds
-``begin_crossing()`` / ``end_crossing()``: the synchronous dispatcher
-knows its pull follows its push immediately, so one crossing reserves
-and releases arena space without constructing a :class:`Message` or
-touching the in-flight dict — while issuing the exact same
-``msg_push`` / ``msg_pull`` charges, stats and obs metrics as the
-reference pair.  The region's ``used_bytes`` mirror is net-zero across
-a crossing and is skipped; every external observation point (between
-syscalls, drop_for, crucible probes) sees identical state.
+Both halves of a crossing live in one place each:
+``begin_crossing()`` holds the size check, the ``msg_push`` charge,
+the arena reservation, the domain stats and the obs metrics, and
+``end_crossing()`` holds the ``msg_pull`` charge and the release.  The
+reference pair is built on them and adds only what a live message
+needs: the crucible probes, the :class:`Message` object with its
+causal span id, the in-flight table and the region's ``used_bytes``
+mirror.  The dispatcher's compiled crossing tapes (``core/runtime.py``)
+replay the same charges and stats inline and call ``begin_crossing``
+only to raise :class:`MessageDomainFull`.
 """
 
 from __future__ import annotations
@@ -142,38 +143,27 @@ class MessageDomain:
                      is_reply: bool = False) -> Message:
         """Push a request (or a return value) into the message buffer.
 
-        Charges the message-push cost and reserves buffer space; raises
-        :class:`MessageDomainFull` if the arena cannot hold it (a real
-        deployment would block the sender — in the synchronous
-        simulation every message is pulled promptly, so hitting this
-        means a leak).
+        Fires the ``msg_push`` probe, then runs :meth:`begin_crossing`
+        (size check, charge, reservation) and files the message in the
+        in-flight table; raises :class:`MessageDomainFull` if the arena
+        cannot hold it (a real deployment would block the sender — in
+        the synchronous simulation every message is pulled promptly, so
+        hitting this means a leak).
         """
-        probes = self.sim.probes
+        sim = self.sim
+        probes = sim.probes
         if probes is not None:
             probes.fire("msg_push", sender=sender, receiver=receiver,
                         func=func, is_reply=is_reply)
-        size = MESSAGE_HEADER_BYTES + payload_size(args, kwargs or {})
-        if size > self.free_bytes:
-            raise MessageDomainFull(
-                f"message of {size}B does not fit "
-                f"({self.used_bytes}/{self.capacity_bytes}B used)")
-        self.sim.charge("msg_push", self.sim.costs.msg_push)
-        message = Message(msg_id=next(self._ids), sender=sender,
-                          receiver=receiver, func=func,
-                          payload_bytes=size, is_reply=is_reply)
-        obs = self.sim.obs
-        if obs is not None:
-            # The causal parent travels with the message: the receiver
-            # opens its dispatch span under this id.
-            message.span_id = obs.current_span_id()
-            obs.inc("msgdom.pushes")
-            obs.observe("msgdom.queue_depth", len(self._in_flight) + 1)
-        self._in_flight[message.msg_id] = message
-        self.used_bytes += size
-        self.pushes += 1
-        self.peak_bytes = max(self.peak_bytes, self.used_bytes)
-        self.peak_in_flight = max(self.peak_in_flight,
-                                  len(self._in_flight))
+        size, msg_id = self.begin_crossing(args, kwargs or {})
+        obs = sim.obs
+        # The causal parent travels with the message: the receiver
+        # opens its dispatch span under this id.
+        message = Message(msg_id=msg_id, sender=sender, receiver=receiver,
+                          func=func, payload_bytes=size, is_reply=is_reply,
+                          span_id=None if obs is None
+                          else obs.current_span_id())
+        self._in_flight[msg_id] = message
         self.region.used_bytes = self.used_bytes
         return message
 
@@ -186,30 +176,21 @@ class MessageDomain:
             probes.fire("msg_pull", sender=message.sender,
                         receiver=message.receiver, func=message.func,
                         is_reply=message.is_reply)
-        self.sim.charge("msg_pull", self.sim.costs.msg_pull)
+        self.end_crossing(message.payload_bytes)
         del self._in_flight[message.msg_id]
-        self.used_bytes -= message.payload_bytes
-        self.pulls += 1
         self.region.used_bytes = self.used_bytes
-        obs = self.sim.obs
-        if obs is not None:
-            obs.inc("msgdom.pulls")
-            obs.set_gauge("msgdom.used_bytes", self.used_bytes)
         return message
 
-    # --- the batched crossing (FLAGS.batched_crossings) -------------------
+    # --- the two halves of every crossing ---------------------------------
 
     def begin_crossing(self, args: Tuple[Any, ...],
                        kwargs: Dict[str, Any]) -> Tuple[int, int]:
-        """The push half of a synchronous crossing, sans Message object.
+        """The push half of a crossing: size check, ``msg_push``
+        charge, arena reservation, stats and obs metrics.
 
-        Charge-for-charge identical to :meth:`vo_push_msgs`: same size
-        computation, same :class:`MessageDomainFull` check, same
-        ``msg_push`` charge, same stats/obs updates.  Returns
-        ``(size, msg_id)`` for the paired :meth:`end_crossing`.  The
-        dispatcher only takes this path when no crucible probes are
-        attached (probes may reboot components mid-crossing and must
-        see the reference in-flight bookkeeping).
+        Raises :class:`MessageDomainFull` before charging anything.
+        Returns ``(size, msg_id)`` for the paired :meth:`end_crossing`;
+        the in-flight depth counts the message being pushed.
         """
         size = MESSAGE_HEADER_BYTES + payload_size(args, kwargs)
         if size > self.region.size_bytes - self.used_bytes:
@@ -220,21 +201,22 @@ class MessageDomain:
         sim.charge("msg_push", sim.costs.msg_push)
         msg_id = next(self._ids)
         used = self.used_bytes + size
+        depth = len(self._in_flight) + 1
         obs = sim.obs
         if obs is not None:
             obs.inc("msgdom.pushes")
-            obs.observe("msgdom.queue_depth", len(self._in_flight) + 1)
+            obs.observe("msgdom.queue_depth", depth)
         self.used_bytes = used
         self.pushes += 1
         if used > self.peak_bytes:
             self.peak_bytes = used
-        depth = len(self._in_flight) + 1
         if depth > self.peak_in_flight:
             self.peak_in_flight = depth
         return size, msg_id
 
     def end_crossing(self, size: int) -> None:
-        """The pull half of a batched crossing (see begin_crossing)."""
+        """The pull half of a crossing: ``msg_pull`` charge, release,
+        stats and obs metrics (see :meth:`begin_crossing`)."""
         sim = self.sim
         sim.charge("msg_pull", sim.costs.msg_pull)
         self.used_bytes -= size

@@ -61,10 +61,6 @@ class RejuvenationPolicy:
         supervisor = getattr(self.kernel, "supervisor", None)
         return supervisor is not None and supervisor.is_degraded(name)
 
-    @property
-    def next_due_us(self) -> float:
-        return self._next_due_us
-
     def due(self) -> bool:
         return self.sim.clock.now_us >= self._next_due_us
 

@@ -118,7 +118,8 @@ class _CrossingPlan:
     it as straight-line dict arithmetic — every individual
     ``(category, amount)`` charge is still applied separately and in
     reference order, so the virtual clock and the per-category ledger
-    stay bit-identical to the uncompiled path.
+    stay bit-identical to the ``vo_push_msgs`` → dispatch →
+    ``vo_pull_msgs`` triple.
 
     ``req_run`` / ``rep_run`` are the tapes code-generated into one
     straight-line function each (amounts and unit names baked in as
@@ -126,15 +127,12 @@ class _CrossingPlan:
     same left-to-right float additions, so the result is bit-identical).
     The functions come from :func:`_exec_tape`, which compiles each
     distinct source text once per process, so kernels with the same
-    image and cost model share them.  The ``*_tape`` / delta slots keep
-    the symbolic form the neutrality tests inspect.
+    image and cost model share them.  The ``*_tape`` slots keep the
+    symbolic form the recorder replays and the neutrality tests inspect.
     """
 
     __slots__ = ("caller_unit", "target_unit", "thread",
-                 "req_tape", "req_switches", "req_deps", "req_wasted",
-                 "req_fallbacks", "req_run",
-                 "rep_tape", "rep_switches", "rep_deps", "rep_wasted",
-                 "rep_fallbacks", "rep_run")
+                 "req_tape", "req_run", "rep_tape", "rep_run")
 
 
 #: most distinct crossing-tape sources kept compiled per process (a
@@ -227,19 +225,6 @@ def _compile_crossing(tape, deltas, msg_dispatch, caller_unit,
     # recorder is attached; plain callers ignore the return value.
     src.append("    return mid")
     return _exec_tape("\n".join(src))
-
-
-def _replay_obs_crossing(obs, md, tape):
-    """Replay the observability side of one compiled crossing.
-
-    Mirrors exactly what ``begin_crossing``/``end_crossing`` and the
-    per-charge :meth:`Simulation.charge` hook would have reported (see
-    :meth:`FlightRecorder.on_crossing`).  The metrics registry and the
-    virtual-time profile are disjoint accumulators, so grouping the
-    attributions after the tape ran leaves the collector state
-    identical to the interleaved reference sequence.
-    """
-    obs.on_crossing(tape, len(md._in_flight) + 1, md.used_bytes)
 
 
 class VampDispatcher:
@@ -350,11 +335,7 @@ class VampDispatcher:
         plan.target_unit = target_unit
         plan.thread = thread
         plan.req_tape = tuple(req_tape)
-        (plan.req_switches, plan.req_deps,
-         plan.req_wasted, plan.req_fallbacks) = req_deltas
         plan.rep_tape = tuple(rep_tape)
-        (plan.rep_switches, plan.rep_deps,
-         plan.rep_wasted, plan.rep_fallbacks) = rep_deltas
         plan.req_run = _compile_crossing(req_tape, req_deltas, logged,
                                          caller_unit, target_unit,
                                          reply=False)
@@ -417,64 +398,50 @@ class VampDispatcher:
         dspan = None
         dispatch_t0 = 0.0
         md = self._message_domain
-        # The batched crossing bails out whenever crucible probes are
-        # attached: probes fire at the push/pull sites and may reboot
-        # components mid-crossing, which needs the reference in-flight
-        # bookkeeping.
-        batched = FLAGS.batched_crossings and sim.probes is None
-        plan = None
         fastlane = False
         if obs is not None:
             dispatch_t0 = sim.clock.now_us
             obs.inc("dispatch.calls")
+        if not merged and FLAGS.batched_crossings and sim.probes is None:
+            # The tape runs only where the reference triple would take
+            # the exact modelled route.  Crucible probes fire at the
+            # push/pull sites and may reboot components mid-crossing,
+            # which needs the reference in-flight bookkeeping.
+            plan = self._plans.get((caller, target, logged))
+            if plan is None:
+                plan = self._build_plan(caller, target, logged)
+            fastlane = (plan is not False
+                        and sched.current == plan.caller_unit
+                        and plan.target_unit not in sched._active_chain
+                        and not sim.clock._watchers)
         if merged:
             sim.charge("function_call", sim.costs.function_call)
             if obs is not None:
                 dspan = obs.open_span("dispatch", f"{target}.{func}",
                                       caller=caller, merged=True)
-        elif batched:
-            plan = self._plans.get((caller, target, logged))
-            if plan is None:
-                plan = self._build_plan(caller, target, logged)
-            if (plan is not False
-                    and sched.current == plan.caller_unit
-                    and plan.target_unit not in sched._active_chain
-                    and not sim.clock._watchers):
-                fastlane = True
-            if fastlane:
-                # --- the compiled request tape (see _CrossingPlan) ----
-                psize = None
-                if not kwargs:
-                    try:
-                        psize = _WIRE_SIZES.get(args)
-                    except TypeError:  # unhashable payload
-                        psize = None
-                if psize is None:
-                    psize = payload_size(args, kwargs)
-                size = MESSAGE_HEADER_BYTES + psize
-                if size > md.region.size_bytes - md.used_bytes:
-                    md.begin_crossing(args, kwargs)  # raises (domain full)
-                mid = plan.req_run(sim, md, sched, plan.thread, size)
-                if obs is not None:
-                    # The recorder sees the same crossing the reference
-                    # path reports: attributions, counters, then the
-                    # dispatch span under the span open at entry.
-                    _replay_obs_crossing(obs, md, plan.req_tape)
-                    dspan = obs.open_span("dispatch", f"{target}.{func}",
-                                          parent=obs.current_span_id(),
-                                          caller=caller, msg_id=mid)
-            else:
-                # Same charges in the same order as the reference triple
-                # (push → dispatch → pull), minus the Message object and
-                # the in-flight dict churn.
-                parent = obs.current_span_id() if obs is not None else None
-                req_size, req_id = md.begin_crossing(args, kwargs)
-                sched.dispatch(target, needs_msg_thread=logged)
-                md.end_crossing(req_size)
-                if obs is not None:
-                    dspan = obs.open_span("dispatch", f"{target}.{func}",
-                                          parent=parent, caller=caller,
-                                          msg_id=req_id)
+        elif fastlane:
+            # --- the compiled request tape (see _CrossingPlan) --------
+            psize = None
+            if not kwargs:
+                try:
+                    psize = _WIRE_SIZES.get(args)
+                except TypeError:  # unhashable payload
+                    psize = None
+            if psize is None:
+                psize = payload_size(args, kwargs)
+            size = MESSAGE_HEADER_BYTES + psize
+            if size > md.region.size_bytes - md.used_bytes:
+                md.begin_crossing(args, kwargs)  # raises (domain full)
+            mid = plan.req_run(sim, md, sched, plan.thread, size)
+            if obs is not None:
+                # The recorder sees the same crossing the reference
+                # path reports: attributions, counters, then the
+                # dispatch span under the span open at entry.
+                obs.on_crossing(plan.req_tape, len(md._in_flight) + 1,
+                                md.used_bytes)
+                dspan = obs.open_span("dispatch", f"{target}.{func}",
+                                      parent=obs.current_span_id(),
+                                      caller=caller, msg_id=mid)
         else:
             message = md.vo_push_msgs(
                 caller, target, func, args, kwargs)
@@ -498,22 +465,7 @@ class VampDispatcher:
                                session_opener=info.session_opener,
                                canceling=info.canceling,
                                durable=info.durable)
-            # Inlined sim.charge("log_append", ...) on the untraced hot
-            # path (no obs hook, no watcher notify needed).
-            amt = sim.costs.log_append
-            if obs is None and amt > 0.0 and not sim.clock._watchers:
-                sim.clock._now_us += amt
-                ledger = sim.ledger
-                ledger.elapsed_us += amt
-                try:
-                    ledger.totals["log_append"] += amt
-                except KeyError:
-                    ledger.totals["log_append"] = 0.0 + amt
-                    ledger.counts["log_append"] = 1
-                else:
-                    ledger.counts["log_append"] += 1
-            else:
-                sim.charge("log_append", amt)
+            sim.charge("log_append", sim.costs.log_append)
             rec = self._meter._active  # inlined note_log_entries(1)
             if rec is not None:
                 rec.log_entries += 1
@@ -537,21 +489,8 @@ class VampDispatcher:
                 if comp.injected_panic is not None \
                         or comp.deterministic_faults:
                     comp.check_injected_faults(func)
-                amt = sim.costs.function_body + info.body_cost
-                if obs is None and amt > 0.0 and not sim.clock._watchers:
-                    # inlined sim.charge("function_body", amt)
-                    sim.clock._now_us += amt
-                    ledger = sim.ledger
-                    ledger.elapsed_us += amt
-                    try:
-                        ledger.totals["function_body"] += amt
-                    except KeyError:
-                        ledger.totals["function_body"] = 0.0 + amt
-                        ledger.counts["function_body"] = 1
-                    else:
-                        ledger.counts["function_body"] += 1
-                else:
-                    sim.charge("function_body", amt)
+                sim.charge("function_body",
+                           sim.costs.function_body + info.body_cost)
                 result = method(*args, **kwargs)
             except SyscallError as exc:
                 error = (exc.errno, str(exc))
@@ -591,33 +530,9 @@ class VampDispatcher:
                     # A failed call does not change component state;
                     # keep the log free of it.
                     log.remove_entries([entry])
-            # Inlined _record_caller_retval: the commonest caller (the
-            # application) keeps no return-value log.
-            caller_log = self._logs.get(caller)
-            if caller_log is not None and caller_log.record_retval(
-                    target, func, result=result, error=error):
-                amt = sim.costs.retval_append
-                if obs is None and amt > 0.0 \
-                        and not sim.clock._watchers:
-                    # inlined sim.charge("retval_append", amt)
-                    sim.clock._now_us += amt
-                    ledger = sim.ledger
-                    ledger.elapsed_us += amt
-                    try:
-                        ledger.totals["retval_append"] += amt
-                    except KeyError:
-                        ledger.totals["retval_append"] = 0.0 + amt
-                        ledger.counts["retval_append"] = 1
-                    else:
-                        ledger.counts["retval_append"] += 1
-                else:
-                    sim.charge("retval_append", amt)
-                rec = self._meter._active  # inlined note_log_entries
-                if rec is not None:
-                    rec.log_entries += 1
+            self._record_caller_retval(caller, target, func, result, error)
             # --- reply path ------------------------------------------------
             if not merged:
-                needs_msg = self._logs.get(caller) is not None
                 if (fastlane and sched.current == plan.target_unit
                         and not sim.clock._watchers):
                     # --- the compiled reply tape ----------------------
@@ -633,17 +548,15 @@ class VampDispatcher:
                         md.begin_crossing(reply_args, {})  # raises
                     plan.rep_run(sim, md, sched, plan.thread, size)
                     if obs is not None:
-                        _replay_obs_crossing(obs, md, plan.rep_tape)
-                elif batched and sim.probes is None:
-                    rep_size, _ = md.begin_crossing((result,), {})
-                    sched.complete(target, caller,
-                                   needs_msg_thread=needs_msg)
-                    md.end_crossing(rep_size)
+                        obs.on_crossing(plan.rep_tape,
+                                        len(md._in_flight) + 1,
+                                        md.used_bytes)
                 else:
                     reply = md.vo_push_msgs(
                         target, caller, func, (result,), is_reply=True)
-                    sched.complete(target, caller,
-                                   needs_msg_thread=needs_msg)
+                    sched.complete(
+                        target, caller,
+                        needs_msg_thread=self._logs.get(caller) is not None)
                     md.vo_pull_msgs(reply)
             if obs is not None:
                 if error is None:
@@ -659,8 +572,6 @@ class VampDispatcher:
                               result: Any,
                               error: Optional[Tuple[str, str]]) -> None:
         """Store the outcome in the caller's return-value log (§V-B)."""
-        if not self._bound:
-            self._bind()
         caller_log = self._logs.get(caller)
         if caller_log is None:
             return

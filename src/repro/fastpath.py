@@ -8,10 +8,11 @@ change **no** virtual-time (`sim.charge`) semantics:
 * dirty-tracked runtime-data saving,
 * the copy-on-write snapshot store (shared region images, deep-copy
   bypass for immutable state blobs),
-* batched domain crossings: the request push/pull + reply push/pull of
-  one synchronous call collapse into a single arena reservation and a
-  single scheduler handshake, with the identical ``msg_push`` /
-  ``msg_pull`` / switch charges issued in the identical order,
+* compiled domain crossings: a crossing whose charge sequence depends
+  only on static facts runs as a code-generated tape that issues the
+  identical ``msg_push`` / switch / ``msg_pull`` charges in the
+  identical order; every other crossing takes the reference
+  ``vo_push_msgs`` → dispatch → ``vo_pull_msgs`` triple,
 * interned payload handles: content-keyed caches let repeated immutable
   payloads share one size computation and one logged blob.
 
@@ -150,10 +151,10 @@ class FastPathFlags:
     #: the store and restored regions (materialized on first write) and
     #: skip deep-copying immutable state blobs
     cow_snapshots: bool = True
-    #: coalesce the request push/pull + reply push/pull of a synchronous
-    #: crossing into one arena reservation and one scheduler handshake
-    #: (identical charges, no Message object / dict churn); falls back
-    #: to the reference path whenever crucible probes are attached
+    #: run each crossing that compiles as its code-generated charge tape
+    #: (identical charges, no Message object / dict churn); off, or with
+    #: crucible probes attached, every crossing takes the reference
+    #: ``vo_push_msgs`` → dispatch → ``vo_pull_msgs`` triple
     batched_crossings: bool = True
     #: content-keyed handle caches: repeated immutable payloads share
     #: one size computation and one logged blob (see PayloadHandles)

@@ -21,10 +21,11 @@ sets, fronted by a simulated load balancer with
 The campaign (:mod:`.campaign`) fans one cell per shard across cores
 with the existing :func:`~repro.parallel.parallel_map` engine; each
 cell runs its instances once and serves both arms from the same
-probes.  A ``repro fleet`` run serves 10^6+ simulated requests across
-32+ instances byte-identically at any ``--jobs`` count, and feeds
-per-tenant availability and log2 tail-latency histograms through the
-reliability observatory (SLO ledger burn rates per instance).
+probes.  A ``repro fleet`` run offers each arm >= 5x10^5 simulated
+requests across the same 32+ instances, byte-identically at any
+``--jobs`` count, and feeds per-tenant availability and log2
+tail-latency histograms through the reliability observatory (SLO
+ledger burn rates per instance).
 """
 
 from .admission import SHED_CHARGE_US, ShedAccount, TokenBucket

@@ -118,9 +118,6 @@ class Kernel:
     def component(self, name: str) -> Component:
         return self.image.component(name)
 
-    def has_component(self, name: str) -> bool:
-        return name in self.image
-
     # --- lifecycle -------------------------------------------------------------
 
     def boot(self) -> None:

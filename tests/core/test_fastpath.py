@@ -1,17 +1,20 @@
 """Fast-path regression tests (DESIGN.md, "Fast-path invariants").
 
-The hot-path optimizations — cached dispatch, indexed call logs, copy
-fast path, dirty-tracked runtime data — must be *virtual-time neutral*:
+The switchable hot-path optimizations — indexed call logs, copy fast
+path, dirty-tracked runtime data, copy-on-write snapshots, compiled
+crossing tapes, interned payloads — must be *virtual-time neutral*:
 they change how fast the reproduction runs on the host CPU, never what
 it computes.  These tests run paper-figure workloads twice, once with
 every optimization enabled (the default) and once under
-``reference_mode()`` (the original O(n)-scan / deepcopy / re-export
-semantics), and assert the cost ledgers and virtual clocks are
-identical.  They also pin the incremental index/accounting against the
-reference recomputation, and the shrinker edge cases against the
-indexed log specifically.
+``reference_mode()`` (the original O(n)-scan / deepcopy / re-export /
+``vo_push_msgs`` semantics), and assert the cost ledgers and virtual
+clocks are identical.  Cached dispatch has no switch: it is on in
+every mode.  The tests also pin the incremental index/accounting
+against the reference recomputation, and the shrinker edge cases
+against the indexed log specifically.
 """
 
+import contextlib
 import gc
 import weakref
 
@@ -190,6 +193,56 @@ class TestBatchedCrossingParity:
         app.libc.close(fd)
         plans = app.kernel._vamp._plans
         assert plans and all(p is False for p in plans.values())
+
+    def test_refused_crossings_take_the_reference_pair(self, monkeypatch):
+        """A crossing the compiler refuses has no third route: with the
+        flags on, every push and pull the domain counts under
+        round-robin goes through ``vo_push_msgs``/``vo_pull_msgs``."""
+        from repro.core.config import NOOP
+        from repro.core.messages import MessageDomain
+
+        calls = {"push": 0, "pull": 0}
+        push, pull = MessageDomain.vo_push_msgs, MessageDomain.vo_pull_msgs
+
+        def counting_push(self, *args, **kwargs):
+            calls["push"] += 1
+            return push(self, *args, **kwargs)
+
+        def counting_pull(self, message):
+            calls["pull"] += 1
+            return pull(self, message)
+
+        monkeypatch.setattr(MessageDomain, "vo_push_msgs", counting_push)
+        monkeypatch.setattr(MessageDomain, "vo_pull_msgs", counting_pull)
+        assert FLAGS.batched_crossings
+        md = _fig5_app(NOOP, iterations=10).kernel.message_domain
+        assert md.pushes > 0
+        assert (calls["push"], calls["pull"]) == (md.pushes, md.pulls)
+
+    @pytest.mark.parametrize("reference", [False, True],
+                             ids=["fast", "reference"])
+    def test_full_domain_raises_before_any_charge(self, reference):
+        """An oversized request raises ``MessageDomainFull`` from the
+        tape and from the reference pair alike, before charging
+        anything or reserving arena space."""
+        from repro.apps.nginx import MiniNginx
+        from repro.core.messages import MessageDomainFull
+
+        with contextlib.ExitStack() as stack:
+            if reference:
+                stack.enter_context(reference_mode())
+            app = MiniNginx(Simulation(seed=17),
+                            mode=DAS.with_(msg_domain_bytes=4096))
+            app.share.create("/srv/full.dat", b"z" * 512)
+            fd = app.libc.open("/srv/full.dat", "rw")
+            before = _ledger_state(app.sim)
+            with pytest.raises(MessageDomainFull):
+                app.libc.write(fd, b"x" * 8192)
+            md = app.kernel.message_domain
+            assert _ledger_state(app.sim) == before
+            assert (md.used_bytes, md.in_flight_count()) == (0, 0)
+            plan = app.kernel._vamp._plans.get(("APP", "VFS", True))
+            assert bool(plan) is not reference   # fast: the tape raised
 
 
 class TestTapeCache:

@@ -8,8 +8,9 @@ import pathlib
 import pytest
 
 from repro.fleet import FleetSpec, fleet_cell, run
-from repro.fleet.campaign import ROUTED_ARM, STATIC_ARM
+from repro.fleet.campaign import ROUTED_ARM, STATIC_ARM, _add_scale_claim
 from repro.fleet.instance import FleetInstance
+from repro.metrics.report import ExperimentReport
 from repro.obs.slo import SLO_ROW_HEADERS
 from repro.parallel import shard_seed
 
@@ -65,8 +66,41 @@ def test_slo_subtable_uses_observatory_headers(tiny_report):
     assert len(rows) == TINY.instances
 
 
+SCALE_CLAIM = ("each arm is offered >= 5x10^5 requests across the same "
+               ">= 32 instances")
+
+
 def test_scale_claim_is_gated_off_below_32_instances(tiny_report):
-    assert not any("10^6" in c.description for c in tiny_report.claims)
+    assert not any(c.description == SCALE_CLAIM for c in tiny_report.claims)
+
+
+@pytest.mark.parametrize("routed, static, holds", [
+    (500_000, 500_000, True),
+    (649_092, 664_968, True),
+    (499_999, 600_000, False),
+    (1_000_000, 0, False),   # the old cross-arm sum would have passed
+])
+def test_scale_claim_holds_per_arm(routed, static, holds):
+    report = ExperimentReport(experiment_id="FLEET", paper_artifact="")
+    _add_scale_claim(report, 32, routed, static)
+    (claim,) = report.claims
+    assert claim.description == SCALE_CLAIM
+    assert claim.holds is holds
+    assert claim.measured == (
+        f"{routed} {ROUTED_ARM} / {static} {STATIC_ARM} requests "
+        "offered, 32 instances")
+
+
+def test_scale_claim_reads_each_arms_offered_row():
+    spec = FleetSpec(ticks=3, base_rate=20)
+    report = run(spec, seed=20240808, jobs=1)
+    (offered,) = [row for row in report.rows
+                  if row[0] == "requests offered"]
+    (claim,) = [c for c in report.claims if c.description == SCALE_CLAIM]
+    assert spec.instances == 32
+    assert claim.measured.startswith(
+        f"{offered[1]} {ROUTED_ARM} / {offered[2]} {STATIC_ARM} ")
+    assert claim.holds is (min(offered[1], offered[2]) >= 500_000)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -1360,8 +1360,6 @@ class VampOSKernel(Kernel):
             slots_dropped=slots, plans_dropped=plans,
             tombstones_dropped=tombstones)
         self.root_reboots.append(record)
-        self.supervisor.telemetry.note_root_reboot(
-            record.downtime_us, slots, plans, tombstones)
         if obs is not None:
             obs.observe("root_reboot.downtime_us", record.downtime_us)
         if sim.trace.wants("reboot"):

@@ -34,7 +34,7 @@ from ..fastpath import FLAGS
 from ..faults.injector import FaultInjector
 from ..metrics.report import ExperimentReport
 from ..net.tcp import ConnectionRefused, ConnectionReset
-from ..obs.metrics import Histogram
+from ..obs.metrics import Histogram, fold, merge
 from ..obs.slo import (DEFAULT_SLO_TARGET, SLO_ROW_HEADERS, SloLedger,
                        ledger_now_us)
 from ..parallel import parallel_map, trial_seeds
@@ -194,16 +194,8 @@ def storm_cell(arm: str, targets: Tuple[str, ...], storms: int,
 
 
 def _aggregate_storms(outcomes: List[StormOutcome]) -> StormOutcome:
-    total = StormOutcome(arm=outcomes[0].arm,
-                         schedule=outcomes[0].schedule)
-    for outcome in outcomes:
-        total.storms += outcome.storms
-        total.mttr_total_us += outcome.mttr_total_us
-        total.mttr_hist = total.mttr_hist.merged_with(outcome.mttr_hist)
-        total.plans += outcome.plans
-        total.plan_tracks += outcome.plan_tracks
-        total.post_storm_ok += outcome.post_storm_ok
-    return total
+    return fold(StormOutcome(arm=outcomes[0].arm,
+                             schedule=outcomes[0].schedule), outcomes)
 
 
 @dataclass
@@ -310,19 +302,7 @@ def root_cell(arm: str, enabled: bool, rounds: int,
 
 
 def _aggregate_roots(outcomes: List[RootOutcome]) -> RootOutcome:
-    total = RootOutcome(arm=outcomes[0].arm)
-    for outcome in outcomes:
-        total.requests += outcome.requests
-        total.ok += outcome.ok
-        total.served_errors += outcome.served_errors
-        total.dead += outcome.dead
-        total.terminal += outcome.terminal
-        total.root_reboots += outcome.root_reboots
-        total.root_downtime_us += outcome.root_downtime_us
-        total.wear_reclaimed += outcome.wear_reclaimed
-        total.in_flight_absorbed += outcome.in_flight_absorbed
-        total.full_reboot_downtime_us += outcome.full_reboot_downtime_us
-    return total
+    return fold(RootOutcome(arm=outcomes[0].arm), outcomes)
 
 
 def _inject_one(rng, injector: FaultInjector, armed_roots: List[str]) -> str:
@@ -359,13 +339,13 @@ def _harvest_telemetry(app, outcome: SoakOutcome) -> None:
     now = app.sim.clock.now_us
     for name in list(telemetry.degraded_open_since_us):
         telemetry.note_degraded_exit(name, now)
-    outcome.telemetry = outcome.telemetry.merged_with(telemetry)
+    outcome.telemetry = merge(outcome.telemetry, telemetry)
     slo = getattr(app.kernel, "slo", None)
     if slo is not None:
         # SLO timestamps run on charged virtual time (ledger_now_us),
         # so the closing boundary must too.
         slo.close(ledger_now_us(app.sim.ledger))
-        outcome.slo = outcome.slo.merged_with(slo)
+        outcome.slo = merge(outcome.slo, slo)
 
 
 def soak_cell(mode_name: str, rounds: int, requests_per_round: int,
@@ -436,20 +416,8 @@ def soak_cell(mode_name: str, rounds: int, requests_per_round: int,
 
 
 def _aggregate(outcomes: List[SoakOutcome]) -> SoakOutcome:
-    """Order-independent fold of per-seed outcomes (sums + telemetry
-    merge; seeds are concatenated in canonical order)."""
-    total = SoakOutcome(mode=outcomes[0].mode)
-    for outcome in outcomes:
-        total.faults_injected += outcome.faults_injected
-        total.requests += outcome.requests
-        total.ok += outcome.ok
-        total.served_errors += outcome.served_errors
-        total.dead += outcome.dead
-        total.terminal += outcome.terminal
-        total.full_reboot_downtime_us += outcome.full_reboot_downtime_us
-        total.telemetry = total.telemetry.merged_with(outcome.telemetry)
-        total.slo = total.slo.merged_with(outcome.slo)
-    return total
+    """Fold per-seed outcomes in canonical seed order."""
+    return fold(SoakOutcome(mode=outcomes[0].mode), outcomes)
 
 
 def run(rounds: int = 30, requests_per_round: int = 6,

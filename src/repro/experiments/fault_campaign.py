@@ -24,6 +24,7 @@ from ..core.config import DAS
 from ..faults.injector import FaultInjector
 from ..metrics.report import ExperimentReport
 from ..metrics.stats import summarize
+from ..obs.metrics import fold
 from ..parallel import parallel_map, trial_seeds
 from ..unikernel.errors import ApplicationHang, KernelPanic
 from ..workloads.http_load import HttpLoadGenerator
@@ -136,19 +137,9 @@ def arm_cell(arm: str, faults: int, requests_per_fault: int,
 
 
 def _aggregate(outcomes: List[CampaignOutcome]) -> CampaignOutcome:
-    """Fold per-seed campaign outcomes into one (order-independent:
-    every field is a sum except the downtime list, concatenated in
-    canonical seed order)."""
-    total = CampaignOutcome(mode=outcomes[0].mode)
-    for outcome in outcomes:
-        total.faults_injected += outcome.faults_injected
-        total.recovered += outcome.recovered
-        total.terminal += outcome.terminal
-        total.requests += outcome.requests
-        total.request_failures += outcome.request_failures
-        total.downtimes_us.extend(outcome.downtimes_us)
-        total.corrupted_components += outcome.corrupted_components
-    return total
+    """Fold per-seed campaign outcomes in canonical seed order (the
+    downtime lists concatenate)."""
+    return fold(CampaignOutcome(mode=outcomes[0].mode), outcomes)
 
 
 def run(faults: int = 20, requests_per_fault: int = 6,

@@ -94,8 +94,3 @@ class ShedAccount:
         self.sheds += count
         self.charges += count
         self.charged_us += count * SHED_CHARGE_US
-
-    def merged_with(self, other: "ShedAccount") -> "ShedAccount":
-        return ShedAccount(sheds=self.sheds + other.sheds,
-                           charges=self.charges + other.charges,
-                           charged_us=self.charged_us + other.charged_us)

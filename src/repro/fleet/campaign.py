@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
 from ..metrics.report import ExperimentReport
-from ..obs.metrics import Histogram
+from ..obs.metrics import Histogram, fold
 from ..obs.slo import DEFAULT_SLO_TARGET, SLO_ROW_HEADERS, SloLedger
 from ..parallel import parallel_map, shard_seed
 from ..sim.rng import DeterministicRNG
@@ -120,14 +120,6 @@ class TenantStats:
     def availability(self) -> float:
         return self.ok / self.served if self.served else 1.0
 
-    def merged_with(self, other: "TenantStats") -> "TenantStats":
-        return TenantStats(
-            name=self.name, profile=self.profile,
-            offered=self.offered + other.offered,
-            ok=self.ok + other.ok, err=self.err + other.err,
-            shed=self.shed + other.shed,
-            latency=self.latency.merged_with(other.latency))
-
 
 @dataclass
 class ShardOutcome:
@@ -135,7 +127,6 @@ class ShardOutcome:
     :func:`_aggregate` folds the shards (picklable across workers)."""
 
     arm: str
-    shard: int
     tenants: Dict[str, TenantStats] = field(default_factory=dict)
     slo: SloLedger = field(default_factory=SloLedger)
     shed_account: ShedAccount = field(default_factory=ShedAccount)
@@ -170,10 +161,8 @@ class ShardOutcome:
         return self.ok / served if served else 1.0
 
     def latency(self) -> Histogram:
-        out = Histogram()
-        for stats in self.tenants.values():
-            out = out.merged_with(stats.latency)
-        return out
+        return fold(Histogram(),
+                    (stats.latency for stats in self.tenants.values()))
 
 
 @dataclass
@@ -273,7 +262,7 @@ class _Arm:
                         for t in self.tenants}
         self.serve_rng = rng.stream("fleet/serve")
         self.outcome = ShardOutcome(
-            arm=arm, shard=shard,
+            arm=arm,
             slo=SloLedger(enabled=True, label=f"{arm}/shard{shard:02d}"),
             tenants={t.name: TenantStats(name=t.name,
                                          profile=t.profile.name)
@@ -360,26 +349,11 @@ class _Arm:
 
 
 def _aggregate(outcomes: List[ShardOutcome]) -> ShardOutcome:
-    """Fold per-shard outcomes in canonical shard order (tenants are
-    disjoint across shards; ledgers merge canonically)."""
-    total = ShardOutcome(arm=outcomes[0].arm, shard=-1,
-                         slo=SloLedger(enabled=True,
-                                       label=outcomes[0].arm))
-    for outcome in outcomes:
-        for name, stats in outcome.tenants.items():
-            mine = total.tenants.get(name)
-            total.tenants[name] = (stats if mine is None
-                                   else mine.merged_with(stats))
-        total.slo = total.slo.merged_with(outcome.slo)
-        total.shed_account = total.shed_account.merged_with(
-            outcome.shed_account)
-        total.misroutes += outcome.misroutes
-        total.kills += outcome.kills
-        total.revives += outcome.revives
-        total.faults_injected += outcome.faults_injected
-        total.reboot_downtime_us += outcome.reboot_downtime_us
-        total.instance_ledgers.update(outcome.instance_ledgers)
-    return total
+    """Fold per-shard outcomes in canonical shard order (tenants and
+    instances are disjoint across shards)."""
+    arm = outcomes[0].arm
+    start = ShardOutcome(arm=arm, slo=SloLedger(enabled=True, label=arm))
+    return fold(start, outcomes)
 
 
 def _percentiles(hist: Histogram) -> str:
@@ -395,11 +369,9 @@ def _availability_text(outcome: ShardOutcome) -> str:
 
 
 def _profile_totals(outcome: ShardOutcome, profile: str) -> TenantStats:
-    total = TenantStats(name=profile, profile=profile)
-    for stats in outcome.tenants.values():
-        if stats.profile == profile:
-            total = total.merged_with(stats)
-    return total
+    return fold(TenantStats(name=profile, profile=profile),
+                (stats for stats in outcome.tenants.values()
+                 if stats.profile == profile))
 
 
 def run(spec: FleetSpec = None, seed: int = 20240808,

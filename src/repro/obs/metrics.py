@@ -16,6 +16,9 @@ the same contract the parallel engine's report merging already honours.
   bins (bucket ``i`` holds samples in ``[2**i, 2**(i+1))``), so two
   shards' distributions union exactly — no quantile sketch drift.
 
+:func:`merge` and :func:`fold` are the shard merge rule every per-shard
+ledger in the reproduction folds through, these instruments included.
+
 Nothing here touches the virtual clock or the RNG: recording a sample
 is purely observational.
 """
@@ -23,10 +26,48 @@ is purely observational.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, fields, is_dataclass
+from functools import reduce
+from typing import Any, Dict, Iterable, Tuple, TypeVar
 
-from ..parallel.merge import merge_sums
+T = TypeVar("T")
+
+
+def merge(left: Any, right: Any) -> Any:
+    """Merge two shard values; ``left`` is the earlier in canonical
+    order.
+
+    Numbers add, lists concatenate, dicts merge key-wise (a key only
+    ``right`` holds is taken as is), strings keep ``left``, a type with
+    a ``merged_with`` method merges itself, and dataclasses merge field
+    by field.  Anything else raises :class:`TypeError`.  No input is
+    mutated.
+    """
+    if isinstance(left, (int, float)) and not isinstance(left, bool):
+        return left + right
+    if isinstance(left, str):
+        return left
+    if isinstance(left, list):
+        return left + right
+    if isinstance(left, dict):
+        out = dict(left)
+        for key, value in right.items():
+            out[key] = merge(out[key], value) if key in out else value
+        return out
+    if hasattr(left, "merged_with"):
+        return left.merged_with(right)
+    if is_dataclass(left):
+        return type(left)(**{f.name: merge(getattr(left, f.name),
+                                           getattr(right, f.name))
+                             for f in fields(left)})
+    raise TypeError(f"no shard merge rule for {type(left).__name__}")
+
+
+def fold(start: T, items: Iterable[T]) -> T:
+    """:func:`merge` ``items`` into ``start`` left to right: the
+    caller passes the empty value and the shards in canonical order,
+    so float sums add in the order a serial run adds them."""
+    return reduce(merge, items, start)
 
 
 def bucket_index(value: float) -> int:
@@ -132,7 +173,7 @@ class Histogram:
             count=self.count + other.count,
             total=self.total + other.total,
             min=low, max=high,
-            buckets=merge_sums((self.buckets, other.buckets)))
+            buckets=merge(self.buckets, other.buckets))
 
     def to_dict(self) -> Dict[str, Any]:
         return {"count": self.count, "total": self.total,
@@ -182,15 +223,9 @@ class MetricsRegistry:
 
     def merge_from(self, other: "MetricsRegistry") -> None:
         """Fold ``other`` (the later shard in canonical order) in."""
-        self.counters = merge_sums((self.counters, other.counters))
-        for name, gauge in other.gauges.items():
-            mine = self.gauges.get(name)
-            self.gauges[name] = (gauge if mine is None
-                                 else mine.merged_with(gauge))
-        for name, hist in other.histograms.items():
-            mine = self.histograms.get(name)
-            self.histograms[name] = (hist if mine is None
-                                     else mine.merged_with(hist))
+        self.counters = merge(self.counters, other.counters)
+        self.gauges = merge(self.gauges, other.gauges)
+        self.histograms = merge(self.histograms, other.histograms)
 
     # --- serialisation ----------------------------------------------------
 

@@ -320,7 +320,7 @@ class ObsCollector:
         self._next_span += blob["n_spans"]
         self._next_track += blob["n_tracks"]
         self.metrics.merge_from(blob["metrics"])
-        # Merged IN PLACE (same key-wise sums as a merge_sums fold, and
+        # Merged IN PLACE (same key-wise sums as metrics.merge, and
         # slot-list identity is preserved): live recorders cache direct
         # references to the [us, count] slots, which must stay valid.
         profile = self.profile

@@ -28,6 +28,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
+from .metrics import fold
+
+
 def ledger_now_us(ledger: Any) -> float:
     """The observatory timebase: cumulative charged virtual time.
 
@@ -237,10 +240,7 @@ class SloLedger:
     def merged_from_jsonables(cls, blobs: List[Dict[str, Any]]) \
             -> "SloLedger":
         """Fold recorded ledger blobs (recording order is canonical)."""
-        out = cls(enabled=True)
-        for blob in blobs:
-            out = out.merged_with(cls.from_jsonable(blob))
-        return out
+        return fold(cls(enabled=True), map(cls.from_jsonable, blobs))
 
     # --- rendering --------------------------------------------------------
 

@@ -22,14 +22,13 @@ only changes wall-clock time, never virtual time or report content.
 """
 
 from .pool import in_worker, parallel_map, resolve_jobs
-from .merge import merge_dicts, merge_indexed, merge_sums
+from .merge import merge_dicts, merge_indexed
 from .seeding import shard_seed, trial_seeds
 
 __all__ = [
     "in_worker",
     "merge_dicts",
     "merge_indexed",
-    "merge_sums",
     "parallel_map",
     "resolve_jobs",
     "shard_seed",

@@ -28,22 +28,6 @@ def merge_indexed(pairs: Iterable[Tuple[int, Any]], size: int) -> List[Any]:
     return results
 
 
-def merge_sums(dicts: Iterable[Dict[Any, Any]]) -> Dict[Any, Any]:
-    """Key-wise summation fold of numeric-valued dicts.
-
-    Addition is commutative and associative, so the *content* is
-    independent of shard completion order; iterating the inputs in
-    canonical cell order additionally pins the key insertion order,
-    exactly like :func:`merge_dicts`.  The observability layer's
-    counters and histogram buckets merge through here.
-    """
-    merged: Dict[Any, Any] = {}
-    for d in dicts:
-        for key, value in d.items():
-            merged[key] = merged.get(key, 0) + value
-    return merged
-
-
 def merge_dicts(dicts: Iterable[Dict[Any, Any]]) -> Dict[Any, Any]:
     """Union per-cell result dicts in the given (canonical) order.
 

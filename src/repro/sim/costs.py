@@ -210,16 +210,6 @@ class CostLedger:
         items = sorted(self.totals.items(), key=lambda kv: kv[1], reverse=True)
         return {name: amount / total for name, amount in items}
 
-    def merged_with(self, other: "CostLedger") -> "CostLedger":
-        out = CostLedger()
-        out.elapsed_us = self.elapsed_us + other.elapsed_us
-        for src in (self, other):
-            for name, amount in src.totals.items():
-                out.totals[name] = out.totals.get(name, 0.0) + amount
-            for name, count in src.counts.items():
-                out.counts[name] = out.counts.get(name, 0) + count
-        return out
-
     def reset(self) -> None:
         self.totals.clear()
         self.counts.clear()

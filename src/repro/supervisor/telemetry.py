@@ -82,7 +82,11 @@ class RecoveryOutcome:
 
 @dataclass
 class RecoveryTelemetry:
-    """Counters and distributions accumulated by one supervisor."""
+    """Counters and distributions accumulated by one supervisor.
+
+    Sharded experiments fold these with :func:`repro.obs.metrics.fold`,
+    after closing every open degraded interval.
+    """
 
     #: component -> rung key -> attempts
     rung_attempts: Dict[str, Dict[str, int]] = field(default_factory=dict)
@@ -105,8 +109,6 @@ class RecoveryTelemetry:
     #: episode kind ("ladder" | "sweep" | "storm" | "root") ->
     #: phase -> total virtual us attributed
     phase_totals: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    #: phase -> log2 histogram of per-episode phase durations
-    phase_hists: Dict[str, Histogram] = field(default_factory=dict)
     #: episode kind -> episodes recorded
     phase_episodes: Dict[str, int] = field(default_factory=dict)
     #: episode kind -> summed per-episode canonical-order phase totals
@@ -114,8 +116,6 @@ class RecoveryTelemetry:
     #: log2-bucketed MTTR distribution over completed recoveries, so
     #: reports can quote p50/p99 and shards merge without sketch drift
     mttr_hist: Histogram = field(default_factory=Histogram)
-    #: per-track reboot durations inside parallel recovery plans
-    track_mttr_hist: Histogram = field(default_factory=Histogram)
     #: parallel recovery plans executed / tracks they contained
     plans: int = 0
     plan_tracks: int = 0
@@ -123,12 +123,6 @@ class RecoveryTelemetry:
     plan_serial_us: float = 0.0
     #: max-merged elapsed time the plans actually cost
     plan_planned_us: float = 0.0
-    #: root microreboots and what they reclaimed
-    root_reboots: int = 0
-    root_downtime_us: float = 0.0
-    root_slots_dropped: int = 0
-    root_plans_dropped: int = 0
-    root_tombstones_dropped: int = 0
 
     # --- recording (called by the supervisor) -----------------------------
 
@@ -155,10 +149,6 @@ class RecoveryTelemetry:
             if duration is None:
                 continue
             totals[phase] = totals.get(phase, 0.0) + duration
-            hist = self.phase_hists.get(phase)
-            if hist is None:
-                hist = self.phase_hists[phase] = Histogram()
-            hist.observe(duration)
         self.phase_episodes[kind] = self.phase_episodes.get(kind, 0) + 1
         self.phase_mttr_us[kind] = \
             self.phase_mttr_us.get(kind, 0.0) + phase_sum(phases)
@@ -171,17 +161,7 @@ class RecoveryTelemetry:
         self.plan_tracks += len(track_durations_us)
         for duration in track_durations_us:
             self.plan_serial_us += duration
-            self.track_mttr_hist.observe(duration)
         self.plan_planned_us += planned_us
-
-    def note_root_reboot(self, downtime_us: float, slots: int,
-                         plans: int, tombstones: int) -> None:
-        """One root microreboot: its stall and the wear it reclaimed."""
-        self.root_reboots += 1
-        self.root_downtime_us += downtime_us
-        self.root_slots_dropped += slots
-        self.root_plans_dropped += plans
-        self.root_tombstones_dropped += tombstones
 
     def note_storm(self, component: str) -> None:
         self.storms[component] = self.storms.get(component, 0) + 1
@@ -272,8 +252,8 @@ class RecoveryTelemetry:
 
     def phase_rows(self) -> List[List[Any]]:
         """Per-episode-kind phase table rows (see
-        :data:`PHASE_ROW_HEADERS`): exact virtual-µs totals per phase
-        plus the summed recorded MTTR and its log2-bucket p99."""
+        :data:`PHASE_ROW_HEADERS`): episode count, exact virtual-µs
+        totals per phase, and the summed recorded MTTR."""
         rows: List[List[Any]] = []
         for kind in sorted(self.phase_totals):
             totals = self.phase_totals[kind]
@@ -283,10 +263,6 @@ class RecoveryTelemetry:
             row.append(f"{self.phase_mttr_us.get(kind, 0.0):.1f}us")
             rows.append(row)
         return rows
-
-    def phase_quantile(self, phase: str, q: float) -> float:
-        hist = self.phase_hists.get(phase)
-        return hist.quantile(q) if hist is not None else 0.0
 
     def rows(self, now_us: float) -> List[List[Any]]:
         """Per-component report rows (see :data:`ROW_HEADERS`)."""
@@ -310,50 +286,6 @@ class RecoveryTelemetry:
                 f"{self.time_in_degraded_us(name, now_us) / 1e3:.1f}ms",
             ])
         return rows
-
-    def merged_with(self, other: "RecoveryTelemetry") -> \
-            "RecoveryTelemetry":
-        """Order-independent fold of two telemetry sets (for sharded
-        experiments; open degraded intervals must be closed first)."""
-        out = RecoveryTelemetry()
-        for src in (self, other):
-            for comp, per_comp in src.rung_attempts.items():
-                dst = out.rung_attempts.setdefault(comp, {})
-                for key, count in per_comp.items():
-                    dst[key] = dst.get(key, 0) + count
-            out.outcomes.extend(src.outcomes)
-            for attr in ("storms", "quarantine_us", "degraded_calls",
-                         "degrade_entries", "degraded_closed_us",
-                         "fail_stops"):
-                dst_map = getattr(out, attr)
-                for comp, value in getattr(src, attr).items():
-                    dst_map[comp] = dst_map.get(comp, 0) + value
-            for kind, totals in src.phase_totals.items():
-                dst_totals = out.phase_totals.setdefault(kind, {})
-                for phase, duration in totals.items():
-                    dst_totals[phase] = \
-                        dst_totals.get(phase, 0.0) + duration
-            for phase, hist in src.phase_hists.items():
-                mine = out.phase_hists.get(phase)
-                out.phase_hists[phase] = \
-                    (hist if mine is None else mine.merged_with(hist))
-            for attr in ("phase_episodes", "phase_mttr_us"):
-                dst_map = getattr(out, attr)
-                for kind, value in getattr(src, attr).items():
-                    dst_map[kind] = dst_map.get(kind, 0) + value
-            out.mttr_hist = out.mttr_hist.merged_with(src.mttr_hist)
-            out.track_mttr_hist = \
-                out.track_mttr_hist.merged_with(src.track_mttr_hist)
-            out.plans += src.plans
-            out.plan_tracks += src.plan_tracks
-            out.plan_serial_us += src.plan_serial_us
-            out.plan_planned_us += src.plan_planned_us
-            out.root_reboots += src.root_reboots
-            out.root_downtime_us += src.root_downtime_us
-            out.root_slots_dropped += src.root_slots_dropped
-            out.root_plans_dropped += src.root_plans_dropped
-            out.root_tombstones_dropped += src.root_tombstones_dropped
-        return out
 
 
 #: column headers matching :meth:`RecoveryTelemetry.rows`

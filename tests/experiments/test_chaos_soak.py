@@ -37,6 +37,29 @@ class TestSoakCell:
             second.telemetry.rung_attempts
 
 
+class TestTelemetryFoldSites:
+    def test_no_open_degraded_interval_reaches_a_fold(self, monkeypatch):
+        """``_harvest_telemetry`` closes open degraded intervals before
+        it merges, so neither it nor ``_aggregate`` folds one."""
+        open_at_harvest = []
+        harvest = chaos_soak._harvest_telemetry
+
+        def spy(app, outcome):
+            telemetry = app.kernel.supervisor.telemetry
+            open_at_harvest.append(dict(telemetry.degraded_open_since_us))
+            harvest(app, outcome)
+            assert outcome.telemetry.degraded_open_since_us == {}
+
+        monkeypatch.setattr(chaos_soak, "_harvest_telemetry", spy)
+        outcome = chaos_soak.soak_cell(chaos_soak.SUPERVISED_MODE,
+                                       rounds=10, requests_per_round=4,
+                                       seed=1)
+        assert any(open_at_harvest)
+        assert "VFS" in outcome.telemetry.degraded_closed_us
+        total = chaos_soak._aggregate([outcome, outcome])
+        assert total.telemetry.degraded_open_since_us == {}
+
+
 class TestSoakReport:
     def test_claims_hold_and_jobs_invariant(self):
         serial = chaos_soak.run(rounds=8, requests_per_round=4,

@@ -18,6 +18,7 @@ from repro.fleet.admission import (
     TokenBucket,
     naive_admission,
 )
+from repro.obs.metrics import merge
 
 arrival_sequences = st.lists(st.integers(0, 40), max_size=50)
 
@@ -82,7 +83,7 @@ def test_accounts_merge_by_summing():
     left, right = ShedAccount(), ShedAccount()
     left.charge(3)
     right.charge(5)
-    merged = left.merged_with(right)
+    merged = merge(left, right)
     assert (merged.sheds, merged.charges) == (8, 8)
     assert merged.charged_us == 8 * SHED_CHARGE_US
 

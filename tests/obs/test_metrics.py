@@ -2,14 +2,22 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+from typing import Dict, List, Set
+
+import pytest
+
 from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
     bucket_bounds,
     bucket_index,
+    fold,
+    merge,
 )
-from repro.parallel.merge import merge_sums
+from repro.obs.slo import SloLedger
+from repro.supervisor import RecoveryTelemetry
 
 
 class TestBucketIndex:
@@ -127,5 +135,101 @@ class TestRegistryMerge:
         assert clone.to_dict() == registry.to_dict()
 
     def test_merge_sums_folds_keywise(self):
-        assert merge_sums(({"a": 1, "b": 2}, {"b": 3, "c": 4})) \
-            == {"a": 1, "b": 5, "c": 4}
+        merged = merge({"a": 1, "b": 2}, {"b": 3, "c": 4})
+        assert merged == {"a": 1, "b": 5, "c": 4}
+        assert list(merged) == ["a", "b", "c"]
+
+
+@dataclass
+class _Shard:
+    name: str = ""
+    count: int = 0
+    total_us: float = 0.0
+    samples: List[float] = field(default_factory=list)
+    per_key: Dict[str, Dict[str, int]] = field(default_factory=dict)
+    hist: Histogram = field(default_factory=Histogram)
+
+
+def _shard(name, count, samples, per_key):
+    shard = _Shard(name=name, count=count, total_us=sum(samples),
+                   samples=list(samples), per_key=per_key)
+    for value in samples:
+        shard.hist.observe(value)
+    return shard
+
+
+class TestShardMerge:
+    """The rule :func:`merge` applies to each kind of value."""
+
+    def test_dataclasses_merge_field_by_field(self):
+        left = _shard("first", 2, [1.5, 3.0], {"a": {"x": 1}})
+        right = _shard("second", 5, [0.25], {"a": {"x": 2, "y": 1},
+                                            "b": {"z": 4}})
+        merged = merge(left, right)
+        assert merged.name == "first"
+        assert merged.count == 7
+        assert merged.total_us == 4.5 + 0.25
+        assert merged.samples == [1.5, 3.0, 0.25]
+        assert merged.per_key == {"a": {"x": 3, "y": 1}, "b": {"z": 4}}
+        assert merged.hist.to_dict() \
+            == left.hist.merged_with(right.hist).to_dict()
+
+    def test_fold_merges_left_to_right_from_the_start_value(self):
+        values = [0.1, 0.2, 0.3, 1e16, -1e16]
+        serial = 0.0
+        for value in values:
+            serial += value
+        shards = [_Shard(name=f"s{i}", total_us=value, samples=[value])
+                  for i, value in enumerate(values)]
+        folded = fold(_Shard(name="start"), shards)
+        assert folded.name == "start"
+        assert folded.samples == values
+        assert folded.total_us == serial
+
+    def test_folding_leaves_every_input_unchanged(self):
+        shards = [_shard(f"s{i}", i, [float(i), 2.0 * i],
+                         {"k": {"x": i}}) for i in range(4)]
+        ledgers = []
+        for i in range(3):
+            ledger = SloLedger(enabled=True, label=f"shard{i}")
+            ledger.note_state("VFS", "up", 0.0)
+            ledger.note_requests("VFS", "app", ok=i, err=1)
+            ledger.close(10.0 * (i + 1))
+            ledgers.append(ledger)
+        before = [repr(shard) for shard in shards]
+        ledgers_before = [ledger.to_jsonable() for ledger in ledgers]
+        fold(_Shard(), shards)
+        fold(SloLedger(enabled=True), ledgers)
+        assert [repr(shard) for shard in shards] == before
+        assert [ledger.to_jsonable() for ledger in ledgers] \
+            == ledgers_before
+
+    def test_a_value_with_no_rule_raises(self):
+        @dataclass
+        class WithSet:
+            members: Set[str] = field(default_factory=set)
+
+        with pytest.raises(TypeError):
+            merge(WithSet({"a"}), WithSet({"b"}))
+        with pytest.raises(TypeError):
+            merge(True, False)
+
+    def test_recovery_telemetry_merges_canonically(self):
+        early, late = RecoveryTelemetry(), RecoveryTelemetry()
+        for component, rung in (("VFS", "replay-retry"),
+                                ("VFS", "scope-widen"),
+                                ("9PFS", "replay-retry")):
+            early.note_rung(component, rung)
+        early.note_recovered("VFS", "panic", "replay-retry", 0.0, 40.0)
+        late.note_rung("VFS", "replay-retry")
+        late.note_rung("LWIP", "fresh-restart")
+        late.note_recovered("LWIP", "hang", "fresh-restart", 5.0, 900.0)
+        late.note_recovered("VFS", "panic", "replay-retry", 7.0, 9.0)
+        merged = merge(early, late)
+        assert merged.rung_attempts == {
+            "VFS": {"replay-retry": 2, "scope-widen": 1},
+            "9PFS": {"replay-retry": 1},
+            "LWIP": {"fresh-restart": 1}}
+        assert merged.outcomes == early.outcomes + late.outcomes
+        assert merged.mttr_hist.to_dict() \
+            == early.mttr_hist.merged_with(late.mttr_hist).to_dict()

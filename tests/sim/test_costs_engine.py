@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs.metrics import merge
 from repro.sim.costs import DEFAULT_COSTS, CostLedger, CostModel
 from repro.sim.engine import Simulation
 
@@ -57,8 +58,10 @@ class TestCostLedger:
         a.charge("x", 1.0)
         b.charge("x", 2.0)
         b.charge("y", 3.0)
-        merged = a.merged_with(b)
+        merged = merge(a, b)
         assert merged.totals == {"x": 3.0, "y": 3.0}
+        assert merged.counts == {"x": 2, "y": 1}
+        assert merged.elapsed_us == 6.0
 
     def test_reset(self):
         ledger = CostLedger()

@@ -16,13 +16,19 @@ serves both arms from it.
 Within a tick, each instance first runs its lifecycle (kill/revive
 schedule, idle poll, fault injection) and answers one real HTTP probe;
 the probe's latency is that instance's service time for the tick.
-Then, in each arm, each tenant's arrivals pass the token bucket, the
-survivors are routed one by one (queue-depth shedding at the chosen
-instance), and each served request lands in the tenant's log2 latency
-histogram — synthetic service built from the probe's *measured* time,
-which is what lets a shard answer ~10^5 requests per arm in
-milliseconds of real time while the kernels underneath recover from
-real faults.
+Then, in each arm, each tenant's arrivals pass the token bucket, and
+the survivors are served as one batch:
+:meth:`~repro.fleet.router.HealthRouter.route_many` routes them
+(queue-depth shedding at the chosen instance) as one ``route`` per
+request would, and their latencies land in the tenant's log2 latency
+histogram through :meth:`~repro.obs.metrics.Histogram.observe_many` —
+synthetic service built from the probe's *measured* time, which is
+what lets a shard answer ~10^5 requests per arm in milliseconds of
+real time while the kernels underneath recover from real faults.  The
+batch is exact: its counts, histograms and draws equal those of
+serving one request at a time (``tests/fleet/test_serve_batch.py``
+holds it to that loop, ``tests/fleet/test_cell_pin.py`` pins two
+default-size cells).
 
 Availability counts served answers only (``ok / (ok + err)``); sheds
 are excluded from the ratio but charged in virtual time and reported.
@@ -35,7 +41,7 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Tuple
 
 from ..metrics.report import ExperimentReport
 from ..obs.metrics import Histogram, fold
@@ -44,8 +50,8 @@ from ..parallel import parallel_map, shard_seed
 from ..sim.rng import DeterministicRNG
 from .admission import SHED_CHARGE_US, ShedAccount, TokenBucket
 from .instance import FleetInstance, ProbeReport
-from .profiles import PROFILES, TenantTraffic
-from .router import HealthRouter
+from .profiles import PROFILES, TenantTraffic, TrafficProfile
+from .router import HealthRouter, Run
 
 #: the two arms, in cell order
 ROUTED_ARM = "health-routed"
@@ -261,6 +267,9 @@ class _Arm:
                                             spec.bucket_burst)
                         for t in self.tenants}
         self.serve_rng = rng.stream("fleet/serve")
+        #: queue-depth latency factor by the depth a request leaves
+        self.depth = [1.0 + level / spec.queue_capacity
+                      for level in range(spec.queue_capacity + 1)]
         self.outcome = ShardOutcome(
             arm=arm,
             slo=SloLedger(enabled=True, label=f"{arm}/shard{shard:02d}"),
@@ -271,57 +280,40 @@ class _Arm:
     def serve(self, tick: int, instances: List[FleetInstance],
               reports: List[ProbeReport]) -> None:
         """One tick: the probe reports feed the router and the fleet
-        availability ledger, then every tenant's traffic is served."""
+        availability ledger, then each tenant's admitted requests are
+        routed, priced and bucketed as one batch.
+
+        The batch is exact: the same picks, ``fleet/serve`` draws (one
+        per served request, in arrival order, dead instances included),
+        latencies, float operations and histogram as routing, pricing
+        and observing one request at a time.
+        """
         spec = self.spec
         router = self.router
         outcome = self.outcome
         slo = outcome.slo
-        serve_rng = self.serve_rng
-        capacity = spec.queue_capacity
         now_us = tick * spec.tick_us
         for idx, (inst, report) in enumerate(zip(instances, reports)):
             router.observe(idx, report.observation())
             slo.note_state(inst.name, report.state(), now_us)
-        loads = [0.0] * spec.replicas
+        loads = [0] * spec.replicas
         # admission + serving, one tenant at a time (fixed order)
         for tenant in self.tenants:
             arrived = tenant.arrivals(tick, spec.ticks)
             bucket = self.buckets[tenant.name]
             bucket.refill()
             admitted = bucket.take(arrived)
-            queue_shed = 0
-            ok = 0
-            err = 0
-            weight = tenant.profile.weight
-            latency_mult = tenant.profile.latency_mult
             stats = outcome.tenants[tenant.name]
-            hist = stats.latency
-            per_ok = [0] * spec.replicas
-            per_err = [0] * spec.replicas
-            for _ in range(admitted):
-                idx = router.route(loads)
-                if loads[idx] + weight > capacity:
-                    queue_shed += 1
-                    continue
-                loads[idx] += weight
-                report = reports[idx]
-                jitter = 0.9 + 0.2 * serve_rng.random()
-                if report.dead:
-                    err += 1
-                    per_err[idx] += 1
-                    hist.observe(spec.timeout_us)
-                elif report.degraded or not report.ok:
-                    err += 1
-                    per_err[idx] += 1
-                    hist.observe(report.service_us * spec.errpage_mult
-                                 * jitter)
-                else:
-                    ok += 1
-                    per_ok[idx] += 1
-                    depth = 1.0 + loads[idx] / capacity
-                    hist.observe(report.service_us * latency_mult
-                                 * depth * jitter)
-            shed = (arrived - admitted) + queue_shed
+            levels = list(loads)
+            runs = router.route_many(loads, admitted,
+                                     tenant.profile.weight,
+                                     spec.queue_capacity)
+            latency, per_ok, per_err = self._price(runs, reports, levels,
+                                                   tenant.profile)
+            stats.latency.observe_many(latency)
+            ok = sum(per_ok)
+            err = sum(per_err)
+            shed = arrived - ok - err
             # the single charge point per tenant-tick (the property
             # tests hold charges == sheds over arbitrary sequences)
             outcome.shed_account.charge(shed)
@@ -333,6 +325,56 @@ class _Arm:
             for idx, inst in enumerate(instances):
                 slo.note_requests(inst.name, tenant.name,
                                   ok=per_ok[idx], err=per_err[idx])
+
+    def _price(self, runs: List[Run], reports: List[ProbeReport],
+               levels: List[int], profile: TrafficProfile
+               ) -> Tuple[List[float], List[int], List[int]]:
+        """The served requests' latencies in arrival order, and each
+        instance's ok and error answers.
+
+        A request costs its instance's probe time, scaled by the
+        error-page factor, or by the tenant's factor and the queue
+        depth the request leaves behind (``levels`` holds the depths
+        before the batch and is advanced in place), then by one
+        ``fleet/serve`` jitter draw; a dead instance bills the timeout.
+        """
+        spec = self.spec
+        weight = profile.weight
+        per_ok = [0] * spec.replicas
+        per_err = [0] * spec.replicas
+        # A lane is one instance's share of a run: pattern[k] serves
+        # every len(pattern)-th request from the run's start + k on.
+        # ``price`` starts as the picks; each lane is priced in place.
+        price = []
+        dead = []
+        for pattern, rounds in runs:
+            start = len(price)
+            price += pattern * rounds
+            for lane, idx in enumerate(pattern, start):
+                lane = slice(lane, len(price), len(pattern))
+                report = reports[idx]
+                if report.dead:
+                    per_err[idx] += rounds
+                    dead.append((lane, rounds))
+                elif report.degraded or not report.ok:
+                    per_err[idx] += rounds
+                    price[lane] = [report.service_us
+                                   * spec.errpage_mult] * rounds
+                else:
+                    per_ok[idx] += rounds
+                    base = report.service_us * profile.latency_mult
+                    level = levels[idx]
+                    levels[idx] = level + weight * rounds
+                    price[lane] = [
+                        base * factor for factor in
+                        self.depth[level + weight:levels[idx] + 1:weight]]
+        rand = self.serve_rng.random
+        # one draw per served request, in arrival order
+        latency = [cost * (0.9 + 0.2 * rand()) for cost in price]
+        for lane, rounds in dead:
+            # the timeout, unjittered; the lane's draws are spent anyway
+            latency[lane] = [spec.timeout_us] * rounds
+        return latency, per_ok, per_err
 
     def close(self, instances: List[FleetInstance]) -> ShardOutcome:
         """Close the ledger and copy in the shared instances' totals."""

@@ -26,9 +26,10 @@ is purely observational.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import reduce
-from typing import Any, Dict, Iterable, Tuple, TypeVar
+from typing import Any, Dict, Iterable, Sequence, Tuple, TypeVar
 
 T = TypeVar("T")
 
@@ -143,6 +144,55 @@ class Histogram:
         self.total += value
         index = bucket_index(value)
         self.buckets[index] = self.buckets.get(index, 0) + 1
+
+    def observe_many(self, values: Sequence[float]) -> None:
+        """Observe ``values`` in order: the same count, total, min, max
+        and buckets as one :meth:`observe` per value.
+
+        ``total`` adds the values left to right, as the one-by-one
+        calls do; ``sum()`` would not (it compensates from Python 3.12
+        on).  Bucketing is monotone, so a batch whose min and max share
+        a bucket fills just that one; a wider batch is counted off one
+        sort, one bisection per occupied bucket.
+        """
+        if not values:
+            return
+        total = self.total
+        for value in values:
+            total += value
+        if not math.isfinite(total):
+            # an infinite or NaN sample: min, max and the bucket order
+            # no longer apply, so take the batch one value at a time
+            for value in values:
+                self.observe(value)
+            return
+        # min() and max() keep the first of equal values, as observe does
+        low = float(min(values))
+        high = float(max(values))
+        if self.count == 0:
+            self.min = low
+            self.max = high
+        else:
+            if low < self.min:
+                self.min = low
+            if high > self.max:
+                self.max = high
+        self.count += len(values)
+        self.total = total
+        buckets = self.buckets
+        index = bucket_index(low)
+        if index == bucket_index(high):
+            buckets[index] = buckets.get(index, 0) + len(values)
+            return
+        ordered = sorted(values)
+        start = 0
+        while start < len(ordered):
+            index = bucket_index(ordered[start])
+            # the top bucket of a finite float has no finite upper bound
+            upper = 2.0 ** (index + 1) if index < 1023 else math.inf
+            stop = bisect_left(ordered, upper, start)
+            buckets[index] = buckets.get(index, 0) + stop - start
+            start = stop
 
     @property
     def mean(self) -> float:

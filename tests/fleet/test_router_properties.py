@@ -147,3 +147,118 @@ def test_rejects_bad_configuration():
         HealthRouter(0)
     with pytest.raises(ValueError):
         HealthRouter(2, policy="roulette")
+
+
+# --- batch routing ----------------------------------------------------------
+
+
+def route_one_by_one(router, loads, count, weight, capacity):
+    """The reference: ``count`` calls of ``route`` under the campaign's
+    queue-depth shed rule."""
+    served = []
+    for _ in range(count):
+        index = router.route(loads)
+        if loads[index] + weight > capacity:
+            continue  # shed: the load stays as it was
+        loads[index] += weight
+        served.append(index)
+    return served
+
+
+def expand(runs):
+    return [index for pattern, rounds in runs
+            for index in pattern * rounds]
+
+
+def fed_router(instances, policy, feed):
+    router = HealthRouter(instances, policy=policy)
+    for index, obs in feed:
+        router.observe(index % instances, obs)
+    return router
+
+
+#: queue depths: ties, idle instances, and depths within a few slots
+#: of the capacity (so that room is exactly 0 or 1 for weight 3)
+headroom = st.one_of(st.integers(0, 3).map(lambda k: ("idle", k)),
+                     st.integers(-1, 7).map(lambda k: ("full", k)),
+                     st.integers(0, 40).map(lambda k: ("any", k)))
+
+
+def preload(kind_value, capacity):
+    kind, value = kind_value
+    if kind == "full":
+        return max(0, capacity - value)
+    return value
+
+
+@given(instances=st.integers(1, 5),
+       policy=st.sampled_from(["health", "static"]),
+       feed=st.lists(st.tuples(st.integers(0, 4), observations),
+                     max_size=30),
+       rr=st.integers(0, 7),
+       weight=st.sampled_from([1, 3]),
+       capacity=st.integers(0, 30),
+       depths=st.lists(headroom, min_size=5, max_size=5),
+       batches=st.lists(st.integers(0, 40), min_size=1, max_size=4))
+def test_route_many_matches_one_route_per_request(
+        instances, policy, feed, rr, weight, capacity, depths, batches):
+    """Served sequence, sheds, final loads, the round-robin cursor and
+    misroutes all equal the per-request reference, batch after batch
+    — for both policies, any health history (fallback tiers with
+    nothing healthy included) and pre-loaded queues."""
+    batch_router = fed_router(instances, policy, feed)
+    reference = fed_router(instances, policy, feed)
+    batch_router._rr = reference._rr = rr
+    loads = [preload(depth, capacity) for depth in depths[:instances]]
+    batch_loads = list(loads)
+    for count in batches:
+        served = expand(batch_router.route_many(batch_loads, count,
+                                                weight, capacity))
+        expected = route_one_by_one(reference, loads, count, weight,
+                                    capacity)
+        assert served == expected
+        assert count - len(served) == count - len(expected)
+        assert batch_loads == loads
+        assert batch_router._rr == reference._rr
+        assert batch_router.misroutes == reference.misroutes
+
+
+@given(instances=st.integers(1, 5),
+       feed=st.lists(st.tuples(st.integers(0, 4), observations),
+                     max_size=30),
+       weight=st.sampled_from([1, 3]),
+       count=st.integers(1, 60))
+def test_route_many_runs_are_nonempty(instances, feed, weight, count):
+    router = fed_router(instances, "health", feed)
+    runs = router.route_many([0] * instances, count, weight, 20)
+    assert all(pattern and rounds > 0 for pattern, rounds in runs)
+
+
+def test_route_many_water_fills_the_health_tier():
+    router = HealthRouter(3, policy="health")
+    loads = [4, 0, 1]
+    runs = router.route_many(loads, 7, 1, 10)
+    assert expand(runs) == [1, 1, 2, 1, 2, 1, 2]
+    assert loads == [4, 4, 4]
+
+
+def test_route_many_sheds_after_the_first_full_pick():
+    router = HealthRouter(2, policy="health")
+    loads = [5, 6]
+    assert expand(router.route_many(loads, 5, 3, 10)) == [0, 1]
+    assert loads == [8, 9]
+
+
+def test_static_route_many_skips_full_instances_only():
+    router = HealthRouter(3, policy="static")
+    router._rr = 1
+    loads = [0, 9, 0]
+    # arrivals go 1 2 0 1 2 0 1; instance 1 has room for one
+    assert expand(router.route_many(loads, 7, 1, 10)) == [1, 2, 0, 2, 0]
+    assert loads == [2, 10, 2]
+    assert router._rr == 8
+
+
+def test_route_many_rejects_weightless_requests():
+    with pytest.raises(ValueError):
+        HealthRouter(2).route_many([0, 0], 3, 0, 10)

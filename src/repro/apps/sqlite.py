@@ -62,12 +62,6 @@ def _parse_literal(text: str) -> Any:
     raise SqlError(f"bad literal: {text!r}")
 
 
-def _encode_value(value: Any) -> str:
-    if isinstance(value, str):
-        return "'" + value.replace("'", "''") + "'"
-    return repr(value)
-
-
 class MiniSQLite(UnikernelApp):
     NAME = "sqlite"
     COMPONENTS = ("PROCESS", "SYSINFO", "USER", "TIMER", "VFS", "9PFS",

@@ -231,11 +231,3 @@ class RamfsComponent(Component):
         """RAM-backed: durability is the component's memory; a no-op."""
         self._node(path)
         return 0
-
-    # --- introspection -------------------------------------------------------------------
-
-    def file_count(self) -> int:
-        return sum(1 for n in self._nodes.values() if not n.is_dir)
-
-    def total_content_bytes(self) -> int:
-        return sum(len(n.data) for n in self._nodes.values())

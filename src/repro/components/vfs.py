@@ -545,6 +545,3 @@ class VfsComponent(Component):
 
     def fd_entry(self, fd: int) -> FdEntry:
         return self._entry(fd)
-
-    def mount_table(self) -> Dict[str, str]:
-        return dict(self._mounts)

@@ -136,18 +136,15 @@ class EncapsulatedRestorer:
             stats.entries_replayed += 1
             if entry.result is not None and result != entry.result:
                 stats.result_mismatches += 1
-                # wants() guard: the reprs below are the expensive part.
-                if self.sim.trace.wants("restore"):
-                    self.sim.emit("restore", "result_mismatch",
-                                  component=comp.NAME, func=entry.func,
-                                  expected=repr(entry.result)[:80],
-                                  got=repr(result)[:80])
+                self.sim.emit("restore", "result_mismatch",
+                              component=comp.NAME, func=entry.func,
+                              expected=repr(entry.result)[:80],
+                              got=repr(result)[:80])
         stats.retvals_fed = session.retvals_fed
-        if self.sim.trace.wants("restore"):
-            self.sim.emit("restore", "replayed", component=comp.NAME,
-                          entries=stats.entries_replayed,
-                          synthetic=stats.synthetic_applied,
-                          retvals=stats.retvals_fed)
+        self.sim.emit("restore", "replayed", component=comp.NAME,
+                      entries=stats.entries_replayed,
+                      synthetic=stats.synthetic_applied,
+                      retvals=stats.retvals_fed)
         return stats
 
 

@@ -412,8 +412,7 @@ class VampDispatcher:
                 plan = self._build_plan(caller, target, logged)
             fastlane = (plan is not False
                         and sched.current == plan.caller_unit
-                        and plan.target_unit not in sched._active_chain
-                        and not sim.clock._watchers)
+                        and plan.target_unit not in sched._active_chain)
         if merged:
             sim.charge("function_call", sim.costs.function_call)
             if obs is not None:
@@ -533,8 +532,7 @@ class VampDispatcher:
             self._record_caller_retval(caller, target, func, result, error)
             # --- reply path ------------------------------------------------
             if not merged:
-                if (fastlane and sched.current == plan.target_unit
-                        and not sim.clock._watchers):
+                if fastlane and sched.current == plan.target_unit:
                     # --- the compiled reply tape ----------------------
                     reply_args = (result,)
                     try:
@@ -606,32 +604,9 @@ class VampOSKernel(Kernel):
         self.restorer = EncapsulatedRestorer(self.sim)
         self.reboots: List[RebootRecord] = []
 
-        # --- threads -------------------------------------------------------
-        units, member_map = build_units(image.boot_order, config.merges)
-        if config.scheduler == SCHEDULER_ROUND_ROBIN:
-            self.scheduler: BaseScheduler = RoundRobinScheduler(
-                self.sim, units, member_map)
-        else:
-            self.scheduler = DependencyAwareScheduler(
-                self.sim, units, image.dependency_graph(), member_map)
+        self._build_root_internals(num_protection_keys)
 
-        # --- protection domains (§V-D) ---------------------------------------
-        if config.virtualize_keys:
-            self.domains: ProtectionDomains = VirtualizedProtectionDomains(
-                num_protection_keys, enforce=config.enforce_mpk,
-                sim=self.sim)
-        else:
-            self.domains = ProtectionDomains(num_protection_keys,
-                                             enforce=config.enforce_mpk)
-        self.pkrus: Dict[str, PKRU] = {}
-        self._tag_domains(units, member_map, num_protection_keys)
-
-        # --- message domain: logs + buffers (Fig. 4) ---------------------------
-        self.msg_domain = Region("MSGDOM.region", RegionKind.MESSAGE,
-                                 config.msg_domain_bytes, owner="MSGDOM",
-                                 backed=False)
-        self.domains.tag_region(self.msg_domain, self._msgdom_key)
-        self.message_domain = MessageDomain(self.sim, self.msg_domain)
+        # --- call logs (Fig. 4) --------------------------------------------
         self.logs: Dict[str, ComponentCallLog] = {}
         self.shrinkers: Dict[str, LogShrinker] = {}
         for name in image.stateful_components():
@@ -682,6 +657,51 @@ class VampOSKernel(Kernel):
         #: the most recent postmortem document (terminal failures)
         self.last_postmortem: Optional[Dict[str, Any]] = None
         self.postmortem_seq = 0
+
+    def _build_root_internals(self, num_keys: int,
+                              in_place: bool = False) -> None:
+        """Build the kernel-side internals: the scheduler's threads, the
+        protection domains and PKRUs (§V-D), and the message arena
+        (Fig. 4).
+
+        ``in_place`` is the root reboot's rebuild under live
+        components: in-flight dispatch frames hold the scheduler and
+        the message domain, so those objects survive and their
+        ``__init__`` is re-run instead of replacing them.
+        """
+        config = self.config
+        image = self.image
+        units, member_map = build_units(image.boot_order, config.merges)
+        if config.scheduler == SCHEDULER_ROUND_ROBIN:
+            sched_cls: type = RoundRobinScheduler
+            sched_args: Tuple[Any, ...] = (self.sim, units, member_map)
+        else:
+            sched_cls = DependencyAwareScheduler
+            sched_args = (self.sim, units, image.dependency_graph(),
+                          member_map)
+        if in_place:
+            self.scheduler.__init__(*sched_args)  # type: ignore[misc]
+        else:
+            self.scheduler: BaseScheduler = sched_cls(*sched_args)
+        # Protection domains are charge-free to build: only residency
+        # swaps are priced.
+        if config.virtualize_keys:
+            self.domains: ProtectionDomains = VirtualizedProtectionDomains(
+                num_keys, enforce=config.enforce_mpk, sim=self.sim)
+        else:
+            self.domains = ProtectionDomains(num_keys,
+                                             enforce=config.enforce_mpk)
+        self.pkrus: Dict[str, PKRU] = {}
+        self._tag_domains(units, member_map, num_keys)
+        self.msg_domain = Region("MSGDOM.region", RegionKind.MESSAGE,
+                                 config.msg_domain_bytes, owner="MSGDOM",
+                                 backed=False)
+        self.domains.tag_region(self.msg_domain, self._msgdom_key)
+        if in_place:
+            self.message_domain.__init__(  # type: ignore[misc]
+                self.sim, self.msg_domain)
+        else:
+            self.message_domain = MessageDomain(self.sim, self.msg_domain)
 
     # --- protection-domain assignment ---------------------------------------------
 
@@ -810,9 +830,8 @@ class VampOSKernel(Kernel):
             start_us=self.sim.clock.now_us,
             stateless=all(not self.image.component(m).STATEFUL
                           for m in members))
-        if self.sim.trace.wants("reboot"):
-            self.sim.emit("reboot", "component_start", component=name,
-                          unit=unit, members=list(members), reason=reason)
+        self.sim.emit("reboot", "component_start", component=name,
+                      unit=unit, members=list(members), reason=reason)
         obs = self.sim.obs
         rspan = None
         if obs is not None:
@@ -853,10 +872,9 @@ class VampOSKernel(Kernel):
         self.reboots.append(record)
         if obs is not None:
             obs.observe("reboot.downtime_us", record.downtime_us)
-        if self.sim.trace.wants("reboot"):
-            self.sim.emit("reboot", "component_done", component=name,
-                          downtime_us=record.downtime_us,
-                          replayed=record.entries_replayed)
+        self.sim.emit("reboot", "component_done", component=name,
+                      downtime_us=record.downtime_us,
+                      replayed=record.entries_replayed)
         return record
 
     def _restart_member(self, member: str, record: RebootRecord,
@@ -1137,56 +1155,35 @@ class VampOSKernel(Kernel):
         (and restored on success); components still in quarantine are
         skipped — rebooting them here would defeat the degradation.
 
-        When several units have failed at once (a crash storm) and the
-        parallel-recovery planner is armed, the sweep collects the due
-        set first and hands it to :meth:`reboot_components`, which
-        overlaps independent units' reboots as virtual-time tracks.
-        With the planner off (``reference_mode``) or a watched clock,
-        the original one-at-a-time sweep runs bit-identically.
+        The due set is collected first and handed to
+        :meth:`reboot_components` as one episode: with the planner
+        armed, a crash storm's independent units overlap as virtual-time
+        tracks; otherwise (``reference_mode``) they reboot one after
+        another in boot order.
         """
         self.sim.charge("heartbeat", self.sim.costs.heartbeat_scan)
         obs = self.sim.obs
         if obs is not None:
             obs.sample_health(self)
         self._root_heartbeat()
-        records: List[RebootRecord] = list(self.supervisor.tick())
-        if FLAGS.parallel_recovery and not self.sim.clock._watchers:
-            due = self._sweep_due()
-            if len(due) > 1:
-                records.extend(self.reboot_components(
-                    due, reason="heartbeat",
-                    precheck=self._heartbeat_due_detail))
-            elif due:
-                detail = self._heartbeat_due_detail(due[0])
-                if detail is not None:
-                    self.detector.record(due[0], "heartbeat", detail)
-                    records.append(self.reboot_component(
-                        due[0], reason="heartbeat"))
-            return records
-        swept = set()
-        for name in self.image.boot_order:
-            comp = self.image.component(name)
-            if not comp.REBOOTABLE or name in swept:
-                continue
-            if self.supervisor.is_degraded(name):
-                continue
-            detail = self._heartbeat_due_detail(name)
-            if detail is not None:
-                self.detector.record(name, "heartbeat", detail)
-                record = self.reboot_component(name, reason="heartbeat")
-                swept.update(record.members)
-                records.append(record)
+        records = self.supervisor.tick()
+        records.extend(self.reboot_components(
+            self._sweep_due(), reason="heartbeat",
+            precheck=self._heartbeat_due_detail))
         return records
 
     def _heartbeat_due_detail(self, name: str) -> Optional[str]:
-        """The serial sweep's due check for one component: the detail
-        string to record when it needs a reboot, ``None`` when healthy.
+        """The sweep's due check for one component: the detail string
+        to record when it needs a reboot, ``None`` when it is healthy or
+        quarantined (a quarantined component comes back through the
+        supervisor's probation, not the sweep).
 
-        Also the planner's *precheck*: re-evaluated right before each
-        planned track executes, because an earlier reboot's replay can
-        recover a later due component through the supervisor — the
-        serial sweep would find it healthy at its turn and skip it.
+        Also the sweep's *precheck*, re-evaluated right before each
+        reboot: an earlier reboot's replay can recover a later due
+        component through the supervisor, or quarantine it.
         """
+        if self.supervisor.is_degraded(name):
+            return None
         comp = self.image.component(name)
         failed = comp.state is ComponentState.FAILED
         corrupted = any(region.corrupted for region in comp.regions)
@@ -1197,29 +1194,21 @@ class VampOSKernel(Kernel):
         return None
 
     def _sweep_due(self) -> List[str]:
-        """Collect the heartbeat sweep's due components, at most one
-        per unit, without rebooting (or detector-recording) anything.
-
-        Mirrors the serial sweep's checks exactly; a unit already due
-        skips its remaining merge-group members because the unit reboot
-        restores them all (the serial sweep would find them healed).
-        The detector record happens later, right before each reboot
-        (via the :meth:`_heartbeat_due_detail` precheck), exactly where
-        the serial sweep records it.
-        """
+        """Collect the heartbeat sweep's due components in boot order,
+        at most one per unit (the unit reboot restores every member),
+        without rebooting or detector-recording anything: the detector
+        record happens right before each reboot, in the precheck."""
         due: List[str] = []
         due_units = set()
         for name in self.image.boot_order:
-            comp = self.image.component(name)
-            if not comp.REBOOTABLE:
+            if not self.image.component(name).REBOOTABLE:
                 continue
-            if self.scheduler.unit_of(name) in due_units:
-                continue
-            if self.supervisor.is_degraded(name):
+            unit = self.scheduler.unit_of(name)
+            if unit in due_units:
                 continue
             if self._heartbeat_due_detail(name) is not None:
                 due.append(name)
-                due_units.add(self.scheduler.unit_of(name))
+                due_units.add(unit)
         return due
 
     def reboot_components(
@@ -1229,42 +1218,43 @@ class VampOSKernel(Kernel):
     ) -> List[RebootRecord]:
         """Reboot several components as one planned recovery episode.
 
-        With the parallel-recovery planner armed (``fastpath.FLAGS``,
-        unwatched clock) the failed units are partitioned into
-        dependency levels — derived from the indexed call-log edges
-        unioned with the declared component dependencies — and their
-        reboot tracks overlap in virtual time, max-merging the clock
-        (see :mod:`repro.recovery`).  Charges are issued in the exact
-        serial order, so ledger totals and counts are bit-identical to
-        the serial loop; only the elapsed clock shrinks.  Otherwise
-        (planner off, watched clock, dependency cycle, or a single
-        unit) the plain serial loop runs.
+        With the parallel-recovery planner armed (``fastpath.FLAGS``)
+        the failed units are partitioned into dependency levels —
+        derived from the indexed call-log edges unioned with the
+        declared component dependencies — and their reboot tracks
+        overlap in virtual time, max-merging the clock (see
+        :mod:`repro.recovery`).  Charges are issued in the exact serial
+        order, so ledger totals and counts are bit-identical to the
+        serial loop; only the elapsed clock shrinks.  Otherwise
+        (planner off, dependency cycle, or a single unit) the plain
+        serial loop runs.
 
-        ``precheck`` (the heartbeat sweep passes
-        :meth:`_heartbeat_due_detail`) re-evaluates each component just
-        before its reboot and skips it when it healed in the meantime —
-        an earlier reboot's replay can recover a later component
-        through the supervisor, and the serial sweep would find it
-        healthy at its turn.  A still-due component is recorded with
-        the detector first, exactly like the serial sweep does.
+        ``precheck`` makes the episode a detection sweep (the heartbeat
+        passes :meth:`_heartbeat_due_detail`).  Each component is
+        re-evaluated just before its reboot and skipped when it healed
+        or was quarantined in the meantime; a still-due component is
+        recorded with the detector and handed to the supervisor
+        (:meth:`RecoverySupervisor.recover_swept`), because no ladder
+        walk owns a failure found outside a call path.
         """
-        def do_reboot(name: str) -> Optional[RebootRecord]:
-            if precheck is not None:
-                detail = precheck(name)
-                if detail is None:
-                    return None
-                self.detector.record(name, reason, detail)
-            return self.reboot_component(name, reason=reason,
-                                         replay=replay)
-
         sup = self.supervisor
+
+        def do_reboot(name: str) -> Optional[RebootRecord]:
+            if precheck is None:
+                return self.reboot_component(name, reason=reason,
+                                             replay=replay)
+            detail = precheck(name)
+            if detail is None:
+                return None
+            self.detector.record(name, reason, detail)
+            return sup.recover_swept(name, reason)
+
         # A multi-unit episode (crash-storm sweep) gets its own clock;
         # single names fall through to reboot_component's own "sweep".
         clock = (sup.phase_push("storm")
                  if len(names) > 1 and not sup._phase_clocks else None)
         try:
-            if (len(names) > 1 and FLAGS.parallel_recovery
-                    and not self.sim.clock._watchers):
+            if len(names) > 1 and FLAGS.parallel_recovery:
                 from ..recovery import execute_plan, plan_for_kernel
                 plan = plan_for_kernel(self, names)
                 sup.phase_mark("plan")
@@ -1318,9 +1308,8 @@ class VampOSKernel(Kernel):
         sim = self.sim
         start = sim.clock.now_us
         wear = self.root_wear
-        if sim.trace.wants("reboot"):
-            sim.emit("reboot", "root_start", reason=reason,
-                     leaked_bytes=wear.leaked_bytes())
+        sim.emit("reboot", "root_start", reason=reason,
+                 leaked_bytes=wear.leaked_bytes())
         obs = sim.obs
         rspan = None
         if obs is not None:
@@ -1362,12 +1351,11 @@ class VampOSKernel(Kernel):
         self.root_reboots.append(record)
         if obs is not None:
             obs.observe("root_reboot.downtime_us", record.downtime_us)
-        if sim.trace.wants("reboot"):
-            sim.emit("reboot", "root_done", reason=reason,
-                     downtime_us=record.downtime_us,
-                     in_flight_resumed=record.in_flight_resumed,
-                     slots_dropped=slots, plans_dropped=plans,
-                     tombstones_dropped=tombstones)
+        sim.emit("reboot", "root_done", reason=reason,
+                 downtime_us=record.downtime_us,
+                 in_flight_resumed=record.in_flight_resumed,
+                 slots_dropped=slots, plans_dropped=plans,
+                 tombstones_dropped=tombstones)
         return record
 
     def _reinit_root_internals(self) -> None:
@@ -1382,35 +1370,9 @@ class VampOSKernel(Kernel):
         component-side — regions, call logs, snapshots, runtime data —
         is deliberately left alone.
         """
-        config = self.config
-        image = self.image
-        num_keys = self.domains.num_keys
-        units, member_map = build_units(image.boot_order, config.merges)
-        # Fresh scheduler internals on the same object.
-        if config.scheduler == SCHEDULER_ROUND_ROBIN:
-            self.scheduler.__init__(  # type: ignore[misc]
-                self.sim, units, member_map)
-        else:
-            self.scheduler.__init__(  # type: ignore[misc]
-                self.sim, units, image.dependency_graph(), member_map)
-        # Fresh protection domains, keys and PKRUs (charge-free: only
-        # residency swaps are priced).  Component regions are re-tagged
-        # — a kernel-side attribute — never written.
-        if config.virtualize_keys:
-            self.domains = VirtualizedProtectionDomains(
-                num_keys, enforce=config.enforce_mpk, sim=self.sim)
-        else:
-            self.domains = ProtectionDomains(num_keys,
-                                             enforce=config.enforce_mpk)
-        self.pkrus = {}
-        self._tag_domains(units, member_map, num_keys)
-        # Fresh message arena bookkeeping on the same domain object.
-        self.msg_domain = Region("MSGDOM.region", RegionKind.MESSAGE,
-                                 config.msg_domain_bytes, owner="MSGDOM",
-                                 backed=False)
-        self.domains.tag_region(self.msg_domain, self._msgdom_key)
-        self.message_domain.__init__(  # type: ignore[misc]
-            self.sim, self.msg_domain)
+        # Component regions are re-tagged — a kernel-side attribute —
+        # never written.
+        self._build_root_internals(self.domains.num_keys, in_place=True)
         # Drop the dispatcher's bound handles: the next invoke rebinds
         # and rebuilds every crossing plan against the fresh root (the
         # tape code itself comes back from the process-wide cache).

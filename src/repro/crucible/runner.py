@@ -291,7 +291,7 @@ def run_scenario(scenario: Scenario, ops_only: bool = False,
         outcome.trace_log.append([current[0], event.category,
                                   event.name, detail])
         if event.category == "supervisor":
-            if event.name == "degraded":
+            if event.name in ("degraded", "fresh_restart"):
                 outcome.note_lossy(current[0])
             elif event.name == "rung" and \
                     event.detail.get("rung") == "fresh-restart":
@@ -334,7 +334,7 @@ def run_scenario(scenario: Scenario, ops_only: bool = False,
                 elif tag == "heartbeat":
                     kernel.heartbeat()
                 elif tag == "advance":
-                    sim.run_until(sim.clock.now_us + float(event[1]))
+                    sim.clock.advance_to(sim.clock.now_us + float(event[1]))
                 elif tag == "root_panic":
                     injector.inject_root_panic()
                 elif tag == "root_age":

@@ -131,13 +131,8 @@ HANDLES = PayloadHandles()
 
 @dataclass
 class FastPathFlags:
-    """Global on/off switches.
-
-    The optimisation flags are True outside neutrality tests;
-    ``charge_tracing`` is the one opt-*in* switch (default False): it
-    makes the flight recorder charge virtual time per span, for
-    monitoring-overhead studies only.
-    """
+    """Global on/off switches: every optimisation flag is True outside
+    neutrality tests."""
 
     #: answer call-log key queries from the per-key index instead of
     #: scanning the whole entry list
@@ -165,19 +160,13 @@ class FastPathFlags:
     #: max-merge instead of summing.  Charges are issued in the exact
     #: serial order, so ledger totals/counts stay bit-identical to the
     #: serial path; only the elapsed clock shrinks to the dependency
-    #: DAG's critical path.  Off (reference_mode) forces the serial
-    #: sweep bit-identically.
+    #: DAG's critical path.  Off (reference_mode) the same reboots run
+    #: one after another in ``reboot_components``' serial loop.
     parallel_recovery: bool = True
-    #: flight recorder charges ``costs.trace_emit`` per span open/close
-    #: (virtual time is otherwise never spent on observability)
-    charge_tracing: bool = False
 
     def set_all(self, value: bool) -> None:
         for f in fields(self):
             setattr(self, f.name, value)
-        # set_all toggles the *optimisation* flags; tracing stays an
-        # explicit opt-in so reference_mode keeps identical clocks.
-        self.charge_tracing = False
 
 
 #: the process-wide switch block consulted by the hot paths

@@ -227,9 +227,6 @@ class HealthRouter:
             spans[i] = (0, min(arrivals, room))
         return _enqueue(loads, weight, _runs(order, spans, count))
 
-    def healthy_count(self) -> int:
-        return sum(1 for s in self.states if s == HEALTHY)
-
 
 def _runs(order: List[int], spans: Dict[int, Tuple[int, int]],
           limit: int) -> List[Run]:

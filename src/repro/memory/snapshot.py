@@ -97,9 +97,8 @@ class SnapshotStore:
         sim.charge(
             "snapshot_take",
             snap.snapshot_bytes * sim.costs.snapshot_take_per_byte)
-        if sim.trace.wants("checkpoint"):
-            sim.emit("checkpoint", "take", component=component,
-                     label=label, bytes=snap.snapshot_bytes)
+        sim.emit("checkpoint", "take", component=component,
+                 label=label, bytes=snap.snapshot_bytes)
         if obs is not None:
             obs.close_span(span, bytes=snap.snapshot_bytes)
             obs.inc("snapshot.takes")
@@ -153,9 +152,8 @@ class SnapshotStore:
                 # memory-image load which only covers checkpointed pages).
                 continue
             region.restore(region_snap)
-        if sim.trace.wants("checkpoint"):
-            sim.emit("checkpoint", "restore", component=snap.component,
-                     label=snap.label, bytes=snap.snapshot_bytes)
+        sim.emit("checkpoint", "restore", component=snap.component,
+                 label=snap.label, bytes=snap.snapshot_bytes)
         if obs is not None:
             obs.close_span(span)
             obs.inc("snapshot.restores")

@@ -72,11 +72,6 @@ class Connection:
     reset_reason: str = ""
 
     @property
-    def client_seq(self) -> int:
-        """Next sequence number the client will use."""
-        return self.client_isn + self.client_sent
-
-    @property
     def server_seq(self) -> int:
         """Next sequence number the server must use."""
         return self.server_isn + self.server_sent

@@ -28,8 +28,8 @@ On top of the recorder sits the **reliability observatory**:
   schema-validated JSON document frozen at every terminal failure.
 
 The layer is purely observational: with ``--obs`` the reports are
-byte-identical to a run without it, and virtual time is only charged
-when ``FLAGS.charge_tracing`` is explicitly set.
+byte-identical to a run without it, and it never charges virtual
+time.
 """
 
 from .metrics import Gauge, Histogram, MetricsRegistry, bucket_index

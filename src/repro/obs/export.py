@@ -23,7 +23,6 @@ import json
 from typing import Any, Dict, List, Optional
 
 from .profiler import folded_lines
-from .spans import Span
 
 
 def save_recording(recording: Dict[str, Any], path: str) -> None:
@@ -40,11 +39,6 @@ def load_recording(path: str) -> Dict[str, Any]:
     if recording.get("kind") != "repro-flight-recording":
         raise ValueError(f"{path} is not a flight recording")
     return recording
-
-
-def recording_spans(recording: Dict[str, Any]) -> List[Span]:
-    """Rehydrate the recording's spans."""
-    return [Span.from_dict(d) for d in recording["spans"]]
 
 
 def _frame_mentions(frame: str, component: str) -> bool:

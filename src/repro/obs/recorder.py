@@ -19,10 +19,7 @@ Determinism contract (the same one the parallel engine gives reports):
   recording is byte-identical at any ``--jobs`` count.
 
 The recorder is purely observational: it never touches the RNG and
-never advances the clock — unless the operator opts into
-``FLAGS.charge_tracing``, which prices every span open/close at
-``costs.trace_emit`` virtual microseconds (for studying the paper's
-"monitoring feeds the recovery loop" overhead argument).
+never advances the clock.
 """
 
 from __future__ import annotations
@@ -30,7 +27,6 @@ from __future__ import annotations
 import os
 from typing import Any, Dict, List, Optional, TYPE_CHECKING
 
-from ..fastpath import FLAGS
 from .metrics import Gauge, Histogram, MetricsRegistry
 from .spans import Span, renumber
 from .timeline import HealthTimeline
@@ -128,8 +124,6 @@ class FlightRecorder:
         self._recorded += 1
         self._stack.append((span, self._path))
         self._path = name if not self._path else self._path + ";" + name
-        if FLAGS.charge_tracing:
-            self.sim.charge("trace_emit", self.sim.costs.trace_emit)
         return span
 
     def close_span(self, span: Optional[Span], **args: Any) -> None:
@@ -146,8 +140,6 @@ class FlightRecorder:
                 break
         if args:
             span.args.update(args)
-        if FLAGS.charge_tracing:
-            self.sim.charge("trace_emit", self.sim.costs.trace_emit)
 
     # --- metrics (thin aliases onto the shared registry) -------------------
 
@@ -188,8 +180,7 @@ class FlightRecorder:
 
         Reads vital signs only — root wear, message-arena occupancy,
         the degraded set, per-component allocator leaks and the trace
-        ring buffer's eviction count.  No RNG, and charge-free unless
-        ``FLAGS.charge_tracing`` prices it like any other emission.
+        ring buffer's eviction count.  No RNG, and charge-free.
         """
         from ..faults.aging import leak_snapshot
 
@@ -205,8 +196,6 @@ class FlightRecorder:
             timeline.record(f"leak.{name}", now, leaked)
         self.collector.metrics.set_gauge("trace.dropped",
                                          self.sim.trace.dropped)
-        if FLAGS.charge_tracing:
-            self.sim.charge("trace_emit", self.sim.costs.trace_emit)
 
     def on_trace_drop(self) -> None:
         """One trace-ring eviction (wired to ``Trace.on_drop``)."""

@@ -5,8 +5,7 @@ heartbeat sweep (component leak bytes, root wear, message-domain
 occupancy, degraded-set size — see
 :meth:`repro.obs.recorder.FlightRecorder.sample_health`) into one
 :class:`HealthTimeline` per collector.  Sampling is deterministic —
-heartbeat-driven, no RNG, and charge-free unless ``charge_tracing`` —
-so a timeline is a pure function of the workload.
+heartbeat-driven, no RNG, and charge-free — so a timeline is a pure function of the workload.
 
 Compaction keeps every series bounded: once a series exceeds its cap
 the points are decimated to every second sample (``points[::2]``),

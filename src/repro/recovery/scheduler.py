@@ -62,11 +62,10 @@ def execute_plan(kernel: Any, plan: RecoveryPlan,
         pspan = obs.open_span("recovery_plan", reason,
                               tracks=plan.track_count,
                               levels=len(plan.levels))
-    if sim.trace.wants("supervisor"):
-        sim.emit("supervisor", "recovery_plan",
-                 tracks=plan.track_count,
-                 levels=[list(bucket) for bucket in plan.levels],
-                 reason=reason)
+    sim.emit("supervisor", "recovery_plan",
+             tracks=plan.track_count,
+             levels=[list(bucket) for bucket in plan.levels],
+             reason=reason)
     records: List[Any] = []
     try:
         for track in plan.tracks:

@@ -1,34 +1,20 @@
 """Deterministic simulation substrate: virtual time, costs, RNG, trace."""
 
-from .clock import (
-    ClockError,
-    Stopwatch,
-    Timer,
-    VirtualClock,
-    format_us,
-    us_from_ms,
-    us_from_s,
-)
+from .clock import ClockError, VirtualClock, us_from_s
 from .costs import DEFAULT_COSTS, CostLedger, CostModel
-from .engine import EventHandle, Simulation
+from .engine import Simulation
 from .rng import DeterministicRNG
-from .trace import NULL_TRACE, Trace, TraceEvent
+from .trace import Trace, TraceEvent
 
 __all__ = [
     "ClockError",
-    "Stopwatch",
-    "Timer",
     "VirtualClock",
-    "format_us",
-    "us_from_ms",
     "us_from_s",
     "DEFAULT_COSTS",
     "CostLedger",
     "CostModel",
-    "EventHandle",
     "Simulation",
     "DeterministicRNG",
-    "NULL_TRACE",
     "Trace",
     "TraceEvent",
 ]

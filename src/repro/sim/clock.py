@@ -6,14 +6,14 @@ keeps every experiment deterministic and lets the benchmark harness
 reason about downtime, latency and throughput without a real CPU or a
 real network.
 
-The clock only moves forward.  Components, the VampOS runtime, and the
-workload generators all share one clock owned by the simulation
-:class:`~repro.sim.engine.Simulation` (or created standalone in tests).
+The clock moves forward, except where the parallel-recovery scheduler
+seeks it between overlapping reboot tracks (:meth:`VirtualClock.seek`).
+Components, the VampOS runtime, and the workload generators all share
+one clock owned by the simulation :class:`~repro.sim.engine.Simulation`
+(or created standalone in tests).
 """
 
 from __future__ import annotations
-
-from typing import Callable, List, Optional, Tuple
 
 
 class ClockError(Exception):
@@ -21,7 +21,7 @@ class ClockError(Exception):
 
 
 class VirtualClock:
-    """A monotonically increasing virtual clock measured in microseconds.
+    """A virtual clock measured in microseconds.
 
     The clock supports two styles of use:
 
@@ -29,17 +29,12 @@ class VirtualClock:
       microseconds of virtual time".
     * ``advance_to(t)`` — jump to an absolute point, used by workload
       generators that pace requests ("the next request arrives at t").
-
-    Watchers registered with :meth:`on_advance` observe every forward
-    movement; the failure detector and time-series metrics use this to
-    sample state without polluting the mechanism code.
     """
 
     def __init__(self, start_us: float = 0.0) -> None:
         if start_us < 0:
             raise ClockError("clock cannot start before time zero")
         self._now_us: float = float(start_us)
-        self._watchers: List[Callable[[float, float], None]] = []
 
     @property
     def now_us(self) -> float:
@@ -64,12 +59,7 @@ class VirtualClock:
         """
         if delta_us < 0:
             raise ClockError(f"cannot advance clock by negative {delta_us}")
-        if delta_us == 0:
-            return self._now_us
-        old = self._now_us
-        self._now_us = old + delta_us
-        for watcher in self._watchers:
-            watcher(old, self._now_us)
+        self._now_us += delta_us
         return self._now_us
 
     def advance_to(self, t_us: float) -> float:
@@ -90,101 +80,14 @@ class VirtualClock:
         the scheduler seeks back to that time before running a track,
         and seeks forward to the max track end (the "max-merge") once
         every track has run, so concurrent reboots cost the critical
-        path instead of the sum.  Seeking is only legal on an unwatched
-        clock: a watcher's view of time must stay monotonic, which is
-        why the planner refuses to engage (and the serial sweep runs)
-        whenever watchers are registered.
+        path instead of the sum.
         """
-        if self._watchers:
-            raise ClockError("cannot seek a watched clock")
         if t_us < 0:
             raise ClockError("cannot seek before time zero")
         self._now_us = float(t_us)
         return self._now_us
 
-    def on_advance(self, watcher: Callable[[float, float], None]) -> None:
-        """Register ``watcher(old_us, new_us)`` called after each advance."""
-        self._watchers.append(watcher)
-
-    def remove_watcher(self, watcher: Callable[[float, float], None]) -> None:
-        """Unregister a previously registered watcher (no-op if absent)."""
-        try:
-            self._watchers.remove(watcher)
-        except ValueError:
-            pass
-
-
-class Stopwatch:
-    """Measures a span of virtual time against a :class:`VirtualClock`."""
-
-    def __init__(self, clock: VirtualClock) -> None:
-        self._clock = clock
-        self._start: Optional[float] = None
-        self._elapsed: float = 0.0
-
-    def __enter__(self) -> "Stopwatch":
-        self.start()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.stop()
-
-    def start(self) -> None:
-        self._start = self._clock.now_us
-
-    def stop(self) -> float:
-        if self._start is None:
-            raise ClockError("stopwatch was never started")
-        self._elapsed = self._clock.now_us - self._start
-        self._start = None
-        return self._elapsed
-
-    @property
-    def elapsed_us(self) -> float:
-        if self._start is not None:
-            return self._clock.now_us - self._start
-        return self._elapsed
-
-
-class Timer:
-    """A deadline on the virtual clock.
-
-    Used by the hang detector (processing-time threshold) and by
-    workload pacing.  ``expired`` is evaluated lazily against the clock,
-    so timers are free until checked.
-    """
-
-    def __init__(self, clock: VirtualClock, deadline_us: float) -> None:
-        self._clock = clock
-        self.deadline_us = deadline_us
-
-    @classmethod
-    def after(cls, clock: VirtualClock, delta_us: float) -> "Timer":
-        return cls(clock, clock.now_us + delta_us)
-
-    @property
-    def expired(self) -> bool:
-        return self._clock.now_us >= self.deadline_us
-
-    @property
-    def remaining_us(self) -> float:
-        return max(0.0, self.deadline_us - self._clock.now_us)
-
-
-def us_from_ms(ms: float) -> float:
-    """Convert milliseconds to microseconds."""
-    return ms * 1_000.0
-
 
 def us_from_s(s: float) -> float:
     """Convert seconds to microseconds."""
     return s * 1_000_000.0
-
-
-def format_us(us: float) -> str:
-    """Human-readable rendering of a microsecond quantity."""
-    if us < 1_000.0:
-        return f"{us:.2f} us"
-    if us < 1_000_000.0:
-        return f"{us / 1_000.0:.2f} ms"
-    return f"{us / 1_000_000.0:.3f} s"

@@ -128,13 +128,6 @@ class CostModel:
     #: attempting the rejuvenate-root rung (above rejuvenate-all)
     rung_rejuvenate_root: float = 3.20
 
-    # --- observability ------------------------------------------------------
-    #: opening or closing one flight-recorder span, charged ONLY when
-    #: ``FLAGS.charge_tracing`` is set (the recorder is free by default;
-    #: this prices the paper's "monitoring inside the recovery loop"
-    #: variant for overhead studies)
-    trace_emit: float = 0.02
-
     # --- devices / IO -------------------------------------------------------
     #: 9P round trip to the host share (per operation)
     ninep_rpc: float = 30.0

@@ -50,34 +50,19 @@ class Trace:
     """A ring buffer of recent events with query helpers.
 
     ``max_events`` sizes the ring (``None`` keeps every event, for short
-    runs that want the whole history).  Tracing is cheap but not free in
-    Python, so a trace can be disabled wholesale (``enabled=False``) for
-    throughput-oriented benchmarks, or restricted to a category
-    allow-list.
+    runs that want the whole history).
     """
 
-    def __init__(self, enabled: bool = True,
-                 categories: Optional[List[str]] = None,
-                 max_events: Optional[int] = TRACE_RING_SIZE) -> None:
-        self.enabled = enabled
-        self._categories = set(categories) if categories else None
+    def __init__(self, max_events: Optional[int] = TRACE_RING_SIZE) -> None:
         # deque(maxlen) evicts the oldest event in O(1) per append.
         self._events: Deque[TraceEvent] = deque(maxlen=max_events)
         self._max_events = max_events
-        #: events evicted by the ring buffer (recorded-then-dropped;
-        #: filtered/disabled emits are not counted)
+        #: events evicted by the ring buffer
         self.dropped = 0
         #: optional eviction hook — the flight recorder counts ring
         #: drops into the recording through it
         self.on_drop: Optional[Callable[[], None]] = None
         self._subscribers: List[Callable[[TraceEvent], None]] = []
-
-    def wants(self, category: str) -> bool:
-        """Whether an event of ``category`` would be recorded — lets hot
-        call sites skip building the detail dict entirely."""
-        if not self.enabled:
-            return False
-        return self._categories is None or category in self._categories
 
     def emit(self, t_us: float, category: str, name: str,
              **detail: Any) -> None:
@@ -87,10 +72,6 @@ class Trace:
                detail: Mapping[str, Any]) -> None:
         """:meth:`emit` with the detail mapping passed as is (the trace
         keeps it, so the caller must not mutate it afterwards)."""
-        if not self.enabled:
-            return
-        if self._categories is not None and category not in self._categories:
-            return
         event = TraceEvent(t_us, category, name, detail)
         events = self._events
         if len(events) == self._max_events:
@@ -106,8 +87,7 @@ class Trace:
 
     def subscribe(self, callback: Callable[[TraceEvent], None]) -> None:
         """Call ``callback`` for every future recorded event, including
-        those the ring later evicts (filtered-out events are never
-        delivered)."""
+        those the ring later evicts."""
         self._subscribers.append(callback)
 
     def unsubscribe(self, callback: Callable[[TraceEvent], None]) -> None:
@@ -159,7 +139,3 @@ class Trace:
 
     def clear(self) -> None:
         self._events.clear()
-
-
-#: A trace that records nothing; handy default for hot paths.
-NULL_TRACE = Trace(enabled=False)

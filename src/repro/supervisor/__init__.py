@@ -5,7 +5,7 @@ The paper's recovery primitive (reboot → restore → replay → retry,
 microreboot lineage's recursive scope-widening, retry limits and
 degraded operation.  This package is that policy layer:
 
-* :mod:`.ladder` — the pluggable escalation ladder, one strategy
+* :mod:`.ladder` — the escalation ladder, one strategy
   object per rung (replay-retry → fresh restart → variant swap →
   dependency-scoped widening → rejuvenate-all → degrade);
 * :mod:`.budget` — per-component retry budgets with exponential

@@ -3,7 +3,7 @@
 :class:`RecoverySupervisor` owns everything that happens *after* the
 failure detector hands over a failed in-flight call:
 
-* it walks the pluggable **escalation ladder** (:mod:`.ladder`) rung by
+* it walks the **escalation ladder** (:mod:`.ladder`) rung by
   rung, retrying the failed call after every remedy, until one rung
   recovers, the degrade rung quarantines the component, or the ladder
   is exhausted and the kernel fail-stops gracefully;
@@ -17,6 +17,8 @@ failure detector hands over a failed in-flight call:
 * it **probes** degraded components from the heart-beat sweep at
   geometrically backed-off intervals and restores them when a probe
   reboot succeeds;
+* it takes over a heart-beat sweep reboot whose replay re-triggers the
+  fault: fresh restart, then quarantine, when those are armed;
 * it accumulates **telemetry** (:mod:`.telemetry`) for the experiment
   reports.
 
@@ -39,7 +41,7 @@ from ..unikernel.errors import (
 )
 from ..obs.slo import ledger_now_us
 from .budget import CrashStormDetector, RetryBudget
-from .ladder import DEFAULT_LADDER, LadderRung
+from .ladder import DEFAULT_LADDER
 from .telemetry import PhaseClock, RecoveryTelemetry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -64,14 +66,10 @@ class RecoverySupervisor:
     """Escalation, budgets, storm detection and degradation for one
     :class:`~repro.core.runtime.VampOSKernel`."""
 
-    def __init__(self, kernel: "VampOSKernel",
-                 ladder: Optional[List[LadderRung]] = None) -> None:
+    def __init__(self, kernel: "VampOSKernel") -> None:
         self.kernel = kernel
         self.sim = kernel.sim
         config = kernel.config
-        #: the escalation ladder, in order; pluggable per kernel
-        self.ladder: List[LadderRung] = (
-            list(ladder) if ladder is not None else list(DEFAULT_LADDER))
         self.telemetry = RecoveryTelemetry()
         self.storm = CrashStormDetector(threshold=config.storm_threshold,
                                         window_us=config.storm_window_us)
@@ -250,7 +248,7 @@ class RecoverySupervisor:
                      delay_us=delay)
 
         current: BaseException = failure
-        for rung in self.ladder:
+        for rung in DEFAULT_LADDER:
             if not rung.applies(self, name, current):
                 continue
             for plan in rung.plans(self, name):
@@ -314,6 +312,51 @@ class RecoverySupervisor:
             obs.inc("supervisor.fail_stops")
         return kernel.fail_stop(name, current)
 
+    # --- the heart-beat sweep ---------------------------------------------
+
+    def recover_swept(self, name: str,
+                      reason: str) -> Optional["RebootRecord"]:
+        """Reboot a component the heart-beat sweep found failed.
+
+        No ladder walk owns a failure found outside a call path, so a
+        replay that re-triggers the fault is handled here: the unit
+        restarts fresh from its checkpoint when the fresh-restart rung
+        is armed, and is quarantined when that dies too (or is not
+        armed) and degraded mode is.  With neither armed the replay's
+        :class:`RecoveryFailed` propagates and the kernel stays
+        crashed, as under the paper's VampOS.  Returns ``None`` when
+        the component ends up quarantined.
+        """
+        config = self.kernel.config
+        try:
+            return self._reboot_or_restart(
+                name, reason, fresh=config.fresh_restart_enabled)
+        except RecoveryFailed as dead:
+            if not config.degraded_mode_enabled:
+                raise
+            self.kernel.crashed = False
+            self.enter_degraded(name, reason=f"{reason}: {dead}")
+            return None
+
+    def _reboot_or_restart(self, name: str, reason: str,
+                           fresh: bool = True) -> "RebootRecord":
+        """Reboot ``name``; when its replay dies (re-triggering the
+        fault) and ``fresh`` is set, un-crash the kernel and restart the
+        unit from its checkpoint without the replay.  Lossy, like the
+        fresh-restart rung: the cleared logs' effects are gone.  Raises
+        :class:`RecoveryFailed` when no restart recovers the unit."""
+        kernel = self.kernel
+        try:
+            return kernel.reboot_component(name, reason=reason)
+        except RecoveryFailed:
+            if not fresh:
+                raise
+            kernel.crashed = False
+            self.sim.emit("supervisor", "fresh_restart", component=name,
+                          reason=reason)
+            return kernel.reboot_component(name, reason=reason,
+                                           replay=False)
+
     # --- probation (driven by the heart-beat sweep) -----------------------
 
     def tick(self) -> List["RebootRecord"]:
@@ -342,19 +385,13 @@ class RecoverySupervisor:
         return records
 
     def _probe(self, name: str) -> Optional["RebootRecord"]:
-        kernel = self.kernel
         self.sim.emit("supervisor", "probe", component=name)
         try:
-            record = kernel.reboot_component(name, reason="probation")
+            record = self._reboot_or_restart(name, "probation")
         except RecoveryFailed:
-            kernel.crashed = False
-            try:
-                record = kernel.reboot_component(
-                    name, reason="probation", replay=False)
-            except RecoveryFailed:
-                kernel.crashed = False
-                self._extend_probation(name)
-                return None
+            self.kernel.crashed = False
+            self._extend_probation(name)
+            return None
         except UnrebootableComponent:
             self._extend_probation(name)
             return None

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from ..apps.nginx import MiniNginx
-from ..metrics.timeline import Timeline
 from ..net.tcp import ClientSocket, ConnectionRefused, ConnectionReset
 from ..sim.engine import Simulation
 
@@ -24,7 +23,6 @@ class HttpLoadResult:
     failures: int
     duration_us: float
     latencies_us: List[float] = field(default_factory=list)
-    latency_timeline: Timeline = field(default_factory=Timeline)
 
     @property
     def throughput_per_s(self) -> float:
@@ -88,8 +86,6 @@ class HttpLoadGenerator:
                 latency = self.one_request(index % self.connections)
                 result.successes += 1
                 result.latencies_us.append(latency)
-                result.latency_timeline.record(self.sim.clock.now_us,
-                                               latency)
             except (ConnectionReset, ConnectionRefused):
                 result.failures += 1
                 self._sockets[index % self.connections] = None

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.experiments import chaos_soak
+from repro.parallel import trial_seeds
 
 
 class TestSoakCell:
@@ -35,6 +38,19 @@ class TestSoakCell:
         assert first.served_errors == second.served_errors
         assert first.telemetry.rung_attempts == \
             second.telemetry.rung_attempts
+
+
+    @pytest.mark.parametrize("seed", [20240659, 20240708, 20240724])
+    def test_supervised_arm_survives_a_sweep_replay_failure(self, seed):
+        """At these seeds a heartbeat-sweep reboot of 9PFS re-triggers
+        its deterministic lookup bug in replay; the supervisor must take
+        the failure over instead of letting the kernel fail-stop."""
+        cell_seed = trial_seeds(seed, 1, label="chaos")[0]
+        outcome = chaos_soak.soak_cell(chaos_soak.SUPERVISED_MODE,
+                                       rounds=30, requests_per_round=6,
+                                       seed=cell_seed)
+        assert outcome.terminal == 0
+        assert outcome.dead == 0
 
 
 class TestTelemetryFoldSites:

@@ -1,11 +1,10 @@
 """FlightRecorder semantics: span stacks, budgets, profile
-attribution, and the charge_tracing opt-in."""
+attribution, and free spans."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.fastpath import FLAGS, reference_mode
 from repro.obs import state
 from repro.obs.recorder import ObsCollector
 from repro.obs.spans import roots_of, span_children
@@ -148,23 +147,6 @@ class TestChargeTracing:
         sim.obs.close_span(span)
         assert sim.clock.now_us == 0.0
         assert sim.ledger.totals == {}
-
-    def test_charge_tracing_prices_span_open_and_close(self, obs):
-        sim = Simulation(seed=1)
-        FLAGS.charge_tracing = True
-        try:
-            span = sim.obs.open_span("request", "x")
-            sim.obs.close_span(span)
-        finally:
-            FLAGS.charge_tracing = False
-        assert sim.clock.now_us == pytest.approx(
-            2 * sim.costs.trace_emit)
-        assert sim.ledger.counts["trace_emit"] == 2
-
-    def test_reference_mode_never_enables_charging(self):
-        with reference_mode():
-            assert FLAGS.charge_tracing is False
-        assert FLAGS.charge_tracing is False
 
 
 class TestAbsorb:

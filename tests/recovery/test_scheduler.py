@@ -12,14 +12,11 @@ from __future__ import annotations
 
 import contextlib
 
-import pytest
-
 from repro.core.config import SUPERVISED
 from repro.faults.injector import FaultInjector
 from repro.fastpath import FLAGS, reference_mode
 from repro.net.hostshare import HostShare
 from repro.obs import state as obs_state
-from repro.sim.clock import ClockError
 from repro.sim.engine import Simulation
 from repro.supervisor.supervisor import DegradedState
 from tests.conftest import build_kernel
@@ -132,25 +129,6 @@ class TestReferenceMode:
             ref = storm(INDEPENDENT, parallel=FLAGS.parallel_recovery)
         serial = storm(INDEPENDENT, parallel=False)
         assert ref[:4] == serial[:4]
-
-    def test_watched_clock_refuses_to_seek(self):
-        sim = Simulation(seed=1)
-        sim.clock.on_advance(lambda old, new: None)
-        with pytest.raises(ClockError):
-            sim.clock.seek(0.0)
-
-    def test_watched_clock_falls_back_to_serial_sweep(self):
-        with planner(True):
-            kernel = fresh_kernel()
-            kernel.sim.clock.on_advance(lambda old, new: None)
-            injector = FaultInjector(kernel)
-            for name in INDEPENDENT:
-                injector.inject_corruption(name)
-            t0 = kernel.sim.clock.now_us
-            kernel.heartbeat()
-            watched_elapsed = kernel.sim.clock.now_us - t0
-        serial = storm(INDEPENDENT, parallel=False)
-        assert watched_elapsed == serial[0]
 
 
 class TestPlanSpans:

@@ -2,15 +2,7 @@
 
 import pytest
 
-from repro.sim.clock import (
-    ClockError,
-    Stopwatch,
-    Timer,
-    VirtualClock,
-    format_us,
-    us_from_ms,
-    us_from_s,
-)
+from repro.sim.clock import ClockError, VirtualClock, us_from_s
 
 
 class TestVirtualClock:
@@ -59,89 +51,7 @@ class TestVirtualClock:
         assert clock.now_ms == 2_500.0
         assert clock.now_s == 2.5
 
-    def test_watchers_see_every_advance(self):
-        clock = VirtualClock()
-        seen = []
-        clock.on_advance(lambda old, new: seen.append((old, new)))
-        clock.advance(5.0)
-        clock.advance(3.0)
-        assert seen == [(0.0, 5.0), (5.0, 8.0)]
-
-    def test_watchers_skip_zero_advance(self):
-        clock = VirtualClock()
-        seen = []
-        clock.on_advance(lambda old, new: seen.append((old, new)))
-        clock.advance(0.0)
-        assert seen == []
-
-    def test_remove_watcher(self):
-        clock = VirtualClock()
-        seen = []
-        watcher = lambda old, new: seen.append(new)  # noqa: E731
-        clock.on_advance(watcher)
-        clock.remove_watcher(watcher)
-        clock.advance(1.0)
-        assert seen == []
-
-    def test_remove_unknown_watcher_is_noop(self):
-        VirtualClock().remove_watcher(lambda a, b: None)
-
-
-class TestStopwatch:
-    def test_measures_span(self):
-        clock = VirtualClock()
-        watch = Stopwatch(clock)
-        watch.start()
-        clock.advance(12.0)
-        assert watch.stop() == 12.0
-
-    def test_context_manager(self):
-        clock = VirtualClock()
-        with Stopwatch(clock) as watch:
-            clock.advance(7.0)
-        assert watch.elapsed_us == 7.0
-
-    def test_elapsed_while_running(self):
-        clock = VirtualClock()
-        watch = Stopwatch(clock)
-        watch.start()
-        clock.advance(3.0)
-        assert watch.elapsed_us == 3.0
-
-    def test_stop_without_start_raises(self):
-        with pytest.raises(ClockError):
-            Stopwatch(VirtualClock()).stop()
-
-
-class TestTimer:
-    def test_expiry(self):
-        clock = VirtualClock()
-        timer = Timer.after(clock, 10.0)
-        assert not timer.expired
-        clock.advance(10.0)
-        assert timer.expired
-
-    def test_remaining(self):
-        clock = VirtualClock()
-        timer = Timer.after(clock, 10.0)
-        clock.advance(4.0)
-        assert timer.remaining_us == 6.0
-        clock.advance(20.0)
-        assert timer.remaining_us == 0.0
-
 
 class TestConversions:
-    def test_us_from_ms(self):
-        assert us_from_ms(1.5) == 1500.0
-
     def test_us_from_s(self):
         assert us_from_s(2.0) == 2_000_000.0
-
-    @pytest.mark.parametrize("value,expected", [
-        (1.0, "1.00 us"),
-        (999.0, "999.00 us"),
-        (1_500.0, "1.50 ms"),
-        (2_500_000.0, "2.500 s"),
-    ])
-    def test_format_us(self, value, expected):
-        assert format_us(value) == expected

@@ -92,74 +92,6 @@ class TestSimulation:
         assert event.t_us == 5.0
         assert event.detail["value"] == 1
 
-    def test_call_at_fires_in_order(self):
-        sim = Simulation()
-        fired = []
-        sim.call_at(20.0, lambda: fired.append("b"))
-        sim.call_at(10.0, lambda: fired.append("a"))
-        sim.run_until(30.0)
-        assert fired == ["a", "b"]
-        assert sim.clock.now_us == 30.0
-
-    def test_events_fire_at_their_own_time(self):
-        sim = Simulation()
-        times = []
-        sim.call_at(10.0, lambda: times.append(sim.clock.now_us))
-        sim.run_until(50.0)
-        assert times == [10.0]
-
-    def test_call_after(self):
-        sim = Simulation()
-        sim.charge("x", 5.0)
-        fired = []
-        sim.call_after(10.0, lambda: fired.append(sim.clock.now_us))
-        sim.run_until(100.0)
-        assert fired == [15.0]
-
-    def test_cancelled_event_does_not_fire(self):
-        sim = Simulation()
-        fired = []
-        handle = sim.call_at(10.0, lambda: fired.append(1))
-        handle.cancel()
-        sim.run_until(20.0)
-        assert fired == []
-        assert sim.pending_events() == 0
-
-    def test_past_deadline_clamps_to_now(self):
-        sim = Simulation()
-        sim.charge("x", 10.0)
-        fired = []
-        sim.call_at(5.0, lambda: fired.append(1))
-        sim.run_due_events()
-        assert fired == [1]
-
-    def test_drain_events(self):
-        sim = Simulation()
-        fired = []
-        for t in (5.0, 10.0, 15.0):
-            sim.call_at(t, lambda t=t: fired.append(t))
-        assert sim.drain_events() == 3
-        assert fired == [5.0, 10.0, 15.0]
-        assert sim.clock.now_us == 15.0
-
-    def test_event_chaining(self):
-        sim = Simulation()
-        fired = []
-
-        def first():
-            fired.append("first")
-            sim.call_after(5.0, lambda: fired.append("second"))
-
-        sim.call_at(10.0, first)
-        sim.run_until(30.0)
-        assert fired == ["first", "second"]
-
-    def test_next_event_time(self):
-        sim = Simulation()
-        assert sim.next_event_time() is None
-        sim.call_at(42.0, lambda: None)
-        assert sim.next_event_time() == 42.0
-
 
 class TestDeterminism:
     def test_same_seed_same_streams(self):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.engine import Simulation
-from repro.sim.trace import NULL_TRACE, TRACE_RING_SIZE, Trace, TraceEvent
+from repro.sim.trace import TRACE_RING_SIZE, Trace, TraceEvent
 
 
 class TestTrace:
@@ -30,22 +30,6 @@ class TestTrace:
         for t in (1.0, 5.0, 9.0):
             trace.emit(t, "c", "e")
         assert [e.t_us for e in trace.between(2.0, 9.0)] == [5.0, 9.0]
-
-    def test_disabled_records_nothing(self):
-        trace = Trace(enabled=False)
-        trace.emit(1.0, "c", "e")
-        assert len(trace) == 0
-
-    def test_null_trace_is_disabled(self):
-        NULL_TRACE.emit(1.0, "c", "e")
-        assert len(NULL_TRACE) == 0
-
-    def test_category_filter(self):
-        trace = Trace(categories=["keep"])
-        trace.emit(1.0, "keep", "a")
-        trace.emit(2.0, "drop", "b")
-        assert len(trace) == 1
-        assert trace.events[0].category == "keep"
 
     def test_max_events_bounds_memory(self):
         trace = Trace(max_events=10)
@@ -106,8 +90,7 @@ class TestRingBuffer:
         assert [e.detail["i"] for e in trace.events] == list(range(15, 25))
 
     def test_dropped_counts_only_evictions(self):
-        trace = Trace(max_events=3, categories=["keep"])
-        trace.emit(0.0, "drop", "filtered")  # filtered, not a drop
+        trace = Trace(max_events=3)
         for i in range(5):
             trace.emit(float(i), "keep", "e")
         assert trace.dropped == 2
@@ -140,14 +123,6 @@ class TestRingBuffer:
             trace.emit(float(i), "c", "e", i=i)
         assert [e.detail["i"] for e in seen] == list(range(50))
         assert len(trace) == 4 and trace.dropped == 46
-
-    def test_wants_matches_what_emit_would_record(self):
-        allow = Trace(categories=["keep"])
-        assert allow.wants("keep")
-        assert not allow.wants("drop")
-        assert Trace().wants("anything")
-        assert not Trace(enabled=False).wants("anything")
-        assert not NULL_TRACE.wants("anything")
 
 
 class TestTraceEvent:
